@@ -59,7 +59,6 @@ func main() {
 		fsyncInterval = flag.Duration("fsync-interval", 50*time.Millisecond, "background fsync period under -fsync interval")
 
 		maxBatch     = flag.Int("max-batch", 64, "largest coalesced engine batch")
-		batchDelay   = flag.Duration("batch-delay", time.Millisecond, "longest a search waits for batch companions")
 		batchWorkers = flag.Int("batch-workers", 0, "engine workers per batch (0 = GOMAXPROCS)")
 		noBatch      = flag.Bool("no-batch", false, "serve each search with a direct engine call (per-request dispatch)")
 
@@ -90,7 +89,6 @@ func main() {
 		must.AdmissionOptions{MaxPendingWrites: *maxPendingWrites, DebtWatermark: *debtWatermark},
 		server.Config{
 			MaxBatch:          *maxBatch,
-			BatchDelay:        *batchDelay,
 			BatchWorkers:      *batchWorkers,
 			DisableBatching:   *noBatch,
 			CacheSize:         *cacheSize,

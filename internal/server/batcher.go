@@ -14,23 +14,24 @@ import (
 // began shutting down.
 var ErrDraining = errors.New("server draining")
 
-// batcher coalesces concurrent search requests into engine batches: the
-// first request to arrive opens a batch, which dispatches when either
-// maxBatch requests have joined or maxDelay has passed. One SearchEach
-// call then serves the whole batch — the read lock is taken once, each
-// worker keeps one pooled searcher hot across its stride, and the fused
-// kernel amortizes across requests — which is what turns 64 concurrent
-// HTTP requests into a handful of engine calls instead of 64
-// lock/pool round-trips racing each other.
+// batcher coalesces concurrent search requests into engine batches. It
+// is work-conserving: the dispatcher takes the first queued request,
+// adds every request already waiting behind it (up to maxBatch), and
+// dispatches at once; it never waits for companions. Requests that
+// arrive while a batch is in the engine queue up and ride the next batch
+// together, so under load coalescing comes from the queue behind the
+// running batch rather than from a clock. One SearchEach call then
+// serves the whole batch — the read lock is taken once, each worker
+// keeps one pooled searcher hot across its stride, and the fused kernel
+// amortizes across requests — which is what turns 64 concurrent HTTP
+// requests into a handful of engine calls instead of 64 lock/pool
+// round-trips racing each other.
 type batcher struct {
 	eng      must.Service
 	maxBatch int
-	maxDelay time.Duration
 	workers  int
-	// onBatch observes each dispatched batch's size (metrics hook).
-	onBatch func(size int)
-	// onPanic observes each recovered dispatch panic (metrics hook).
-	onPanic func()
+	// metrics observes batch sizes, queue waits and recovered panics.
+	metrics *Metrics
 
 	in   chan *pending
 	stop chan struct{}
@@ -43,6 +44,8 @@ type batcher struct {
 type pending struct {
 	ctx context.Context
 	q   must.Query
+	// enqueued stamps submission; dispatch observes the queue wait.
+	enqueued time.Time
 	// out is buffered (capacity 1) so the dispatcher never blocks on a
 	// caller that gave up waiting.
 	out chan batchResult
@@ -55,21 +58,16 @@ type batchResult struct {
 }
 
 // newBatcher starts the dispatcher goroutine. maxBatch ≤ 0 defaults to
-// 64, maxDelay ≤ 0 to 1ms; workers ≤ 0 lets the engine pick.
-func newBatcher(eng must.Service, maxBatch int, maxDelay time.Duration, workers int, onBatch func(int), onPanic func()) *batcher {
+// 64; workers ≤ 0 lets the engine pick.
+func newBatcher(eng must.Service, maxBatch, workers int, m *Metrics) *batcher {
 	if maxBatch <= 0 {
 		maxBatch = 64
-	}
-	if maxDelay <= 0 {
-		maxDelay = time.Millisecond
 	}
 	b := &batcher{
 		eng:      eng,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		workers:  workers,
-		onBatch:  onBatch,
-		onPanic:  onPanic,
+		metrics:  m,
 		in:       make(chan *pending, 4*maxBatch),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -84,7 +82,7 @@ func newBatcher(eng must.Service, maxBatch int, maxDelay time.Duration, workers 
 // even while the batch is still computing; the abandoned slot is
 // discarded by the dispatcher without blocking it.
 func (b *batcher) Search(ctx context.Context, q must.Query) (*must.Response, int, error) {
-	p := &pending{ctx: ctx, q: q, out: make(chan batchResult, 1)}
+	p := &pending{ctx: ctx, q: q, enqueued: time.Now(), out: make(chan batchResult, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -131,45 +129,34 @@ func (b *batcher) Close() {
 func (b *batcher) run() {
 	defer close(b.done)
 	for {
-		var first *pending
 		select {
-		case first = <-b.in:
+		case first := <-b.in:
+			b.dispatch(b.collect(append(make([]*pending, 0, b.maxBatch), first)))
 		case <-b.stop:
 			b.drain()
 			return
 		}
-		batch := make([]*pending, 1, b.maxBatch)
-		batch[0] = first
-		timer := time.NewTimer(b.maxDelay)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case p := <-b.in:
-				batch = append(batch, p)
-			case <-timer.C:
-				break collect
-			case <-b.stop:
-				break collect
-			}
-		}
-		timer.Stop()
-		b.dispatch(batch)
 	}
+}
+
+// collect appends every request already queued to batch, up to
+// maxBatch, without waiting for more to arrive.
+func (b *batcher) collect(batch []*pending) []*pending {
+	for len(batch) < b.maxBatch {
+		select {
+		case p := <-b.in:
+			batch = append(batch, p)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // drain serves whatever was queued before Close flipped the flag.
 func (b *batcher) drain() {
 	for {
-		batch := make([]*pending, 0, b.maxBatch)
-		for len(batch) < b.maxBatch {
-			select {
-			case p := <-b.in:
-				batch = append(batch, p)
-			default:
-				goto flush
-			}
-		}
-	flush:
+		batch := b.collect(make([]*pending, 0, b.maxBatch))
 		if len(batch) == 0 {
 			return
 		}
@@ -193,12 +180,12 @@ func (b *batcher) dispatch(batch []*pending) {
 	if len(live) == 0 {
 		return
 	}
-	if b.onBatch != nil {
-		b.onBatch(len(live))
-	}
+	b.metrics.ObserveBatch(len(live))
+	now := time.Now()
 	queries := make([]must.Query, len(live))
 	for i, p := range live {
 		queries[i] = p.q
+		b.metrics.ObserveQueueWait(now.Sub(p.enqueued).Seconds())
 	}
 	resps, errs := b.searchRecovered(queries)
 	for i, p := range live {
@@ -214,9 +201,7 @@ func (b *batcher) dispatch(batch []*pending) {
 func (b *batcher) searchRecovered(queries []must.Query) (resps []*must.Response, errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if b.onPanic != nil {
-				b.onPanic()
-			}
+			b.metrics.ObserveBatchPanic()
 			err := fmt.Errorf("batch dispatch panicked: %v", r)
 			resps = make([]*must.Response, len(queries))
 			errs = make([]error, len(queries))

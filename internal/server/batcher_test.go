@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,21 +63,102 @@ func testEngine(t testing.TB, n int) (*must.Engine, []must.Query, []int64) {
 	return eng, queries, ids
 }
 
+// gatedService wraps an engine so every SearchEach call reports its batch
+// size on entered and then blocks until the test lets it through (one
+// value on release per call, or close(release) via open for all). A
+// held batch keeps the dispatcher busy, so later requests are known to
+// be waiting in the queue — no timing window is involved.
+type gatedService struct {
+	must.Service
+	// entered is buffered beyond any test's batch count, so a batch that
+	// nobody waits for still reports its size without blocking.
+	entered  chan int
+	release  chan struct{}
+	openOnce sync.Once
+}
+
+func newGatedService(eng must.Service) *gatedService {
+	return &gatedService{Service: eng, entered: make(chan int, 256), release: make(chan struct{})}
+}
+
+// newGatedBatcher starts a batcher over a gated engine. Cleanup opens the
+// gate before closing the batcher, so a failed test never leaves the
+// dispatcher parked in SearchEach.
+func newGatedBatcher(t testing.TB, eng must.Service, maxBatch int, m *Metrics) (*gatedService, *batcher) {
+	g := newGatedService(eng)
+	b := newBatcher(g, maxBatch, 0, m)
+	t.Cleanup(func() {
+		g.open()
+		b.Close()
+	})
+	return g, b
+}
+
+func (g *gatedService) SearchEach(ctx context.Context, queries []must.Query, workers int) ([]*must.Response, []error) {
+	g.entered <- len(queries)
+	<-g.release
+	return g.Service.SearchEach(ctx, queries, workers)
+}
+
+// open lets every held and future SearchEach call through.
+func (g *gatedService) open() { g.openOnce.Do(func() { close(g.release) }) }
+
+// nextBatch returns the size of the next batch to enter the engine.
+func (g *gatedService) nextBatch(t testing.TB) int {
+	t.Helper()
+	select {
+	case n := <-g.entered:
+		return n
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch reached the engine")
+		return 0
+	}
+}
+
+// waitFor polls until cond holds, failing the test after 10 s.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitQueued blocks until n requests wait in the batcher's queue.
+func waitQueued(t testing.TB, b *batcher, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d queued requests", n), func() bool { return len(b.in) >= n })
+}
+
+type searchResult struct {
+	resp *must.Response
+	size int
+	err  error
+}
+
+// submit runs b.Search in the background; the result arrives on the
+// returned channel.
+func submit(ctx context.Context, b *batcher, q must.Query) <-chan searchResult {
+	ch := make(chan searchResult, 1)
+	go func() {
+		resp, size, err := b.Search(ctx, q)
+		ch <- searchResult{resp, size, err}
+	}()
+	return ch
+}
+
 // TestBatcherCoalesces proves concurrent requests actually share
-// batches: with 32 goroutines submitting through a 1ms window, far
-// fewer than 32 batches dispatch, and every request still gets its own
+// batches: while one batch is held in the engine, the other 31 clients
+// queue behind it and ride the next batch together, so far fewer
+// batches than queries dispatch, and every request still gets its own
 // right answer.
 func TestBatcherCoalesces(t *testing.T) {
 	eng, queries, ids := testEngine(t, 500)
-	var batches, queriesServed int
-	var mu sync.Mutex
-	b := newBatcher(eng, 64, 2*time.Millisecond, 0, func(size int) {
-		mu.Lock()
-		batches++
-		queriesServed += size
-		mu.Unlock()
-	}, nil)
-	defer b.Close()
+	m := NewMetrics()
+	g, b := newGatedBatcher(t, eng, 64, m)
 
 	const clients = 32
 	var wg sync.WaitGroup
@@ -105,54 +188,115 @@ func TestBatcherCoalesces(t *testing.T) {
 			}
 		}(c)
 	}
+	// Hold the first batch until every other client's first request is
+	// queued behind it, then let everything run freely.
+	waitQueued(t, b, clients-g.nextBatch(t))
+	g.open()
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if queriesServed != clients*5 {
-		t.Fatalf("served %d queries, want %d", queriesServed, clients*5)
+	batches, served := m.BatchCounters()
+	if served != clients*5 {
+		t.Fatalf("served %d queries, want %d", served, clients*5)
 	}
-	if batches >= queriesServed {
-		t.Errorf("no coalescing: %d batches for %d queries", batches, queriesServed)
+	if batches >= served {
+		t.Errorf("no coalescing: %d batches for %d queries", batches, served)
 	}
 	if !sawShared {
 		t.Error("no request ever reported riding a shared batch")
 	}
 }
 
-// TestBatcherCancellationPromptAndIsolated: a request whose context is
-// cancelled returns promptly, and its batch companions are unharmed.
+// TestBatcherDispatchesOnArrival pins the work-conserving policy: a lone
+// request against an idle dispatcher rides a batch of its own, and the
+// n requests that queue behind a running batch dispatch together as one
+// batch of exactly n, split at maxBatch.
+func TestBatcherDispatchesOnArrival(t *testing.T) {
+	eng, queries, ids := testEngine(t, 300)
+	const maxBatch = 4
+	g, b := newGatedBatcher(t, eng, maxBatch, NewMetrics())
+	ctx := context.Background()
+
+	lone := submit(ctx, b, queries[0])
+	if n := g.nextBatch(t); n != 1 {
+		t.Fatalf("lone request dispatched in a batch of %d, want 1", n)
+	}
+	g.release <- struct{}{}
+	if r := <-lone; r.err != nil || r.size != 1 || r.resp.Matches[0].ID != ids[0] {
+		t.Fatalf("lone request: size %d err %v", r.size, r.err)
+	}
+
+	for _, n := range []int{1, 3, maxBatch, maxBatch + 2, 2*maxBatch + 1} {
+		head := submit(ctx, b, queries[0])
+		if got := g.nextBatch(t); got != 1 {
+			t.Fatalf("n=%d: head batch of %d, want 1", n, got)
+		}
+		queued := make([]<-chan searchResult, n)
+		for i := range queued {
+			queued[i] = submit(ctx, b, queries[i+1])
+		}
+		waitQueued(t, b, n)
+		g.release <- struct{}{} // the head batch finishes
+		if r := <-head; r.err != nil || r.size != 1 {
+			t.Fatalf("n=%d: head request size %d err %v", n, r.size, r.err)
+		}
+		var got, want []int
+		for left := n; left > 0; left -= want[len(want)-1] {
+			want = append(want, min(left, maxBatch))
+		}
+		for left := n; left > 0; left -= got[len(got)-1] {
+			got = append(got, g.nextBatch(t))
+			g.release <- struct{}{}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: queued requests dispatched as batches %v, want %v", n, got, want)
+		}
+		for i, ch := range queued {
+			if r := <-ch; r.err != nil || r.resp.Matches[0].ID != ids[i+1] {
+				t.Fatalf("n=%d: queued request %d: err %v", n, i, r.err)
+			}
+		}
+	}
+}
+
+// TestBatcherCancellation: a request whose context is cancelled while it
+// waits in the queue returns promptly — before the engine finishes the
+// batch ahead of it — and its batch companion is unharmed.
 func TestBatcherCancellation(t *testing.T) {
 	eng, queries, ids := testEngine(t, 500)
-	b := newBatcher(eng, 64, 50*time.Millisecond, 0, nil, nil) // long window: requests wait in the batch
-	defer b.Close()
+	g, b := newGatedBatcher(t, eng, 64, NewMetrics())
 
+	head := submit(context.Background(), b, queries[2])
+	g.nextBatch(t) // the engine is now busy; later requests queue
 	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	errCh := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		defer wg.Done()
-		_, _, err := b.Search(ctx, queries[0])
-		errCh <- err
-	}()
-	// Let the doomed request enter the batch window, then cancel it.
-	time.Sleep(5 * time.Millisecond)
+	doomed := submit(ctx, b, queries[0])
+	waitQueued(t, b, 1)
+	companion := submit(context.Background(), b, queries[1])
+	waitQueued(t, b, 2)
 	cancel()
-	wg.Wait()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled request returned %v", err)
+	// The engine is still held, so an answer now proves the cancelled
+	// request did not wait for any batch.
+	select {
+	case r := <-doomed:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("cancelled request returned %v", r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled request did not return while the engine was busy")
 	}
-	if waited := time.Since(start); waited > 40*time.Millisecond {
-		t.Errorf("cancelled request took %v — did not return promptly", waited)
+	g.open()
+	if r := <-head; r.err != nil || r.resp.Matches[0].ID != ids[2] {
+		t.Fatalf("head request: err %v", r.err)
 	}
-	// A healthy companion submitted into the same window still succeeds.
-	resp, _, err := b.Search(context.Background(), queries[1])
-	if err != nil {
-		t.Fatalf("companion failed after neighbor cancel: %v", err)
+	// The companion queued in the same batch as the doomed request still
+	// succeeds, and the doomed request cost the engine nothing.
+	r := <-companion
+	if r.err != nil {
+		t.Fatalf("companion failed after neighbor cancel: %v", r.err)
 	}
-	if resp.Matches[0].ID != ids[1] {
-		t.Fatalf("companion got wrong result %+v, want %d", resp.Matches[0], ids[1])
+	if r.resp.Matches[0].ID != ids[1] {
+		t.Fatalf("companion got wrong result %+v, want %d", r.resp.Matches[0], ids[1])
+	}
+	if r.size != 1 {
+		t.Errorf("companion rode a batch of %d, want 1 (cancelled neighbor excluded)", r.size)
 	}
 }
 
@@ -160,38 +304,41 @@ func TestBatcherCancellation(t *testing.T) {
 // alone.
 func TestBatcherPerQueryErrors(t *testing.T) {
 	eng, queries, ids := testEngine(t, 400)
-	b := newBatcher(eng, 8, 20*time.Millisecond, 0, nil, nil)
-	defer b.Close()
+	g, b := newGatedBatcher(t, eng, 8, NewMetrics())
 
+	head := submit(context.Background(), b, queries[5])
+	g.nextBatch(t)
 	bad := must.Query{Vectors: must.NamedVectors{"sound": {1, 2, 3}}}
-	var wg sync.WaitGroup
-	results := make([]error, 4)
-	resps := make([]*must.Response, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := queries[i]
-			if i == 2 {
-				q = bad
-			}
-			resps[i], _, results[i] = b.Search(context.Background(), q)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < 4; i++ {
+	results := make([]<-chan searchResult, 4)
+	for i := range results {
+		q := queries[i]
 		if i == 2 {
-			if results[i] == nil {
+			q = bad
+		}
+		results[i] = submit(context.Background(), b, q)
+	}
+	waitQueued(t, b, len(results))
+	g.open()
+	if r := <-head; r.err != nil {
+		t.Fatalf("head request: %v", r.err)
+	}
+	for i, ch := range results {
+		r := <-ch
+		if r.size != len(results) {
+			t.Errorf("query %d rode a batch of %d, want %d", i, r.size, len(results))
+		}
+		if i == 2 {
+			if r.err == nil {
 				t.Error("invalid query succeeded")
 			}
 			continue
 		}
-		if results[i] != nil {
-			t.Errorf("valid query %d poisoned by batch neighbor: %v", i, results[i])
+		if r.err != nil {
+			t.Errorf("valid query %d poisoned by batch neighbor: %v", i, r.err)
 			continue
 		}
-		if resps[i].Matches[0].ID != ids[i] {
-			t.Errorf("query %d: wrong match %+v, want %d", i, resps[i].Matches[0], ids[i])
+		if r.resp.Matches[0].ID != ids[i] {
+			t.Errorf("query %d: wrong match %+v, want %d", i, r.resp.Matches[0], ids[i])
 		}
 	}
 }
@@ -200,26 +347,32 @@ func TestBatcherPerQueryErrors(t *testing.T) {
 // later submits are refused with ErrDraining.
 func TestBatcherCloseDrains(t *testing.T) {
 	eng, queries, _ := testEngine(t, 400)
-	b := newBatcher(eng, 4, 30*time.Millisecond, 0, nil, nil)
+	g, b := newGatedBatcher(t, eng, 4, NewMetrics())
 
 	const n = 16
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = b.Search(context.Background(), queries[i%len(queries)])
-		}(i)
+	results := make([]<-chan searchResult, n)
+	results[0] = submit(context.Background(), b, queries[0])
+	g.nextBatch(t)
+	for i := 1; i < n; i++ {
+		results[i] = submit(context.Background(), b, queries[i%len(queries)])
 	}
-	time.Sleep(2 * time.Millisecond) // let most submits land in the queue
-	b.Close()
-	wg.Wait()
-	for i, err := range errs {
-		// Requests either completed or were refused at the door — none
-		// may hang or get a non-drain error.
-		if err != nil && !errors.Is(err, ErrDraining) {
-			t.Errorf("request %d: %v", i, err)
+	waitQueued(t, b, n-1)
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to refuse new requests", func() bool {
+		b.mu.RLock()
+		defer b.mu.RUnlock()
+		return b.closed
+	})
+	g.open()
+	<-closed
+	for i, ch := range results {
+		// Every request was queued before Close, so every one is served.
+		if r := <-ch; r.err != nil {
+			t.Errorf("request %d: %v", i, r.err)
 		}
 	}
 	if _, _, err := b.Search(context.Background(), queries[0]); !errors.Is(err, ErrDraining) {

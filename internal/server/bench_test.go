@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"must"
 )
@@ -51,7 +50,7 @@ func BenchmarkServePipeline(b *testing.B) {
 	})
 
 	b.Run("batched", func(b *testing.B) {
-		bat := newBatcher(eng, 64, time.Millisecond, 0, nil, nil)
+		bat := newBatcher(eng, 64, 0, NewMetrics())
 		defer bat.Close()
 		b.SetParallelism(64)
 		b.ReportAllocs()

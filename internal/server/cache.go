@@ -92,9 +92,11 @@ func (c *resultCache) Get(key string, epoch uint64) (*must.Response, bool) {
 		return nil, false
 	}
 	sh.ll.MoveToFront(el)
+	// Read resp under the lock: Put overwrites it in place on a re-store.
+	resp := ent.resp
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return ent.resp, true
+	return resp, true
 }
 
 // Put stores a response computed at the given engine epoch. If the

@@ -14,15 +14,17 @@ import (
 
 // Metrics is a dependency-free Prometheus registry scoped to what mustd
 // exports: request counters by endpoint and status code, latency
-// histograms by endpoint, the batch-size histogram, cache and admission
-// counters, and engine gauges sampled at scrape time. All increments
-// are atomic; the only lock guards lazy counter creation.
+// histograms by endpoint, the batch-size and batch queue-wait
+// histograms, cache and admission counters, and engine gauges sampled
+// at scrape time. All increments are atomic; the only lock guards lazy
+// counter creation.
 type Metrics struct {
 	mu       sync.Mutex
 	requests map[requestKey]*atomic.Uint64
 	latency  map[string]*histogram
 
 	batchSize      *histogram
+	queueWait      *histogram
 	batches        atomic.Uint64
 	batchedQueries atomic.Uint64
 
@@ -54,6 +56,14 @@ var latencyBuckets = []float64{
 
 // batchBuckets are upper bounds on the coalesced batch size.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+
+// queueWaitBuckets are upper bounds in seconds on a search's wait from
+// enqueue to dispatch, 10µs to 1s: an idle dispatcher answers in
+// microseconds, a saturated one in about one batch's engine time.
+var queueWaitBuckets = []float64{
+	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
+	0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1,
+}
 
 // histogram is a fixed-bucket Prometheus histogram with atomic counters
 // (sum is stored as float64 bits updated by CAS).
@@ -93,6 +103,7 @@ func NewMetrics() *Metrics {
 		requests:  make(map[requestKey]*atomic.Uint64),
 		latency:   make(map[string]*histogram),
 		batchSize: newHistogram(batchBuckets),
+		queueWait: newHistogram(queueWaitBuckets),
 	}
 }
 
@@ -108,6 +119,10 @@ func (m *Metrics) ObserveBatch(size int) {
 	m.batchedQueries.Add(uint64(size))
 	m.batchSize.observe(float64(size))
 }
+
+// ObserveQueueWait records one dispatched search's wait in the batch
+// queue, from enqueue to dispatch.
+func (m *Metrics) ObserveQueueWait(seconds float64) { m.queueWait.observe(seconds) }
 
 func (m *Metrics) requestCounter(endpoint string, code int) *atomic.Uint64 {
 	key := requestKey{endpoint, code}
@@ -190,6 +205,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, eng must.Service, cache *resultCa
 	fmt.Fprintln(w, "# HELP mustd_batch_size Coalesced queries per dispatched engine batch.")
 	fmt.Fprintln(w, "# TYPE mustd_batch_size histogram")
 	writeHistogram(w, "mustd_batch_size", "", m.batchSize)
+	fmt.Fprintln(w, "# HELP mustd_batch_queue_wait_seconds Time a dispatched search waited in the batch queue, from enqueue to dispatch.")
+	fmt.Fprintln(w, "# TYPE mustd_batch_queue_wait_seconds histogram")
+	writeHistogram(w, "mustd_batch_queue_wait_seconds", "", m.queueWait)
 
 	hits, misses := cache.Counters()
 	fmt.Fprintln(w, "# HELP mustd_cache_hits_total Result-cache hits.")

@@ -13,14 +13,14 @@ import (
 )
 
 // Config tunes the serving tier; the zero value gets production-shaped
-// defaults (batching on, 64×1ms coalescing, 4096-entry cache, 256
-// in-flight requests, 2s default / 30s max per-request timeout).
+// defaults (batching on, 4096-entry cache, 256 in-flight requests, 2s
+// default / 30s max per-request timeout). Batching dispatches on
+// arrival: a search never waits for companions, and searches that
+// arrive while a batch is in the engine ride the next batch together,
+// up to MaxBatch.
 type Config struct {
 	// MaxBatch is the largest coalesced engine batch (default 64).
 	MaxBatch int
-	// BatchDelay is the longest a request waits for companions before
-	// its batch dispatches anyway (default 1ms).
-	BatchDelay time.Duration
 	// BatchWorkers bounds the engine workers per batch (0 = GOMAXPROCS).
 	BatchWorkers int
 	// DisableBatching serves every search with a direct engine call —
@@ -46,9 +46,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = time.Millisecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
@@ -115,7 +112,7 @@ func New(eng must.Service, cfg Config) *Server {
 		s.byName[m.Name] = i
 	}
 	if !cfg.DisableBatching {
-		s.batcher = newBatcher(eng, cfg.MaxBatch, cfg.BatchDelay, cfg.BatchWorkers, s.metrics.ObserveBatch, s.metrics.ObserveBatchPanic)
+		s.batcher = newBatcher(eng, cfg.MaxBatch, cfg.BatchWorkers, s.metrics)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/v1/search", s.endpoint("search", http.MethodPost, admitRead, s.handleSearch))

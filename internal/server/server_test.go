@@ -295,6 +295,8 @@ func TestServerStatsAndMetrics(t *testing.T) {
 		"mustd_cache_hits_total 1",
 		"mustd_engine_objects 500",
 		"mustd_batch_size_sum",
+		`mustd_batch_queue_wait_seconds_bucket{le="1e-05"}`,
+		"mustd_batch_queue_wait_seconds_count 1",
 		"mustd_in_flight_requests",
 	} {
 		if !strings.Contains(text, want) {
@@ -355,22 +357,33 @@ func TestServerValidationAndMethods(t *testing.T) {
 }
 
 func TestServerAdmissionControl(t *testing.T) {
-	// MaxInFlight 2 with a slow batch window: hammer with concurrent
-	// requests and require at least one 429 with Retry-After, while
-	// admitted requests succeed.
-	_, ts, queries, _ := testServer(t, Config{
-		MaxInFlight: 2,
-		BatchDelay:  20 * time.Millisecond,
-		CacheSize:   -1, // cache off so every request takes the slow path
+	// MaxInFlight 2 over an engine that holds every batch: the two
+	// admitted searches stay in flight (one in the engine, one queued
+	// behind it), so every other concurrent request must be shed with
+	// 429 + Retry-After, and the admitted ones succeed once released.
+	eng, queries, _ := testEngine(t, 500)
+	const maxInFlight = 2
+	g := newGatedService(eng)
+	s := New(g, Config{
+		MaxInFlight: maxInFlight,
+		CacheSize:   -1, // cache off so every request takes the batch path
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		g.open() // release held searches first, or ts.Close waits on them
+		ts.Close()
+		s.Close()
 	})
 	const clients = 16
 	var wg sync.WaitGroup
 	codes := make([]int, clients)
 	retryAfter := make([]string, clients)
+	finished := make(chan struct{}, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			defer func() { finished <- struct{}{} }()
 			raw, _ := json.Marshal(searchBody(queries[c%len(queries)]))
 			resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(raw))
 			if err != nil {
@@ -383,6 +396,16 @@ func TestServerAdmissionControl(t *testing.T) {
 			retryAfter[c] = resp.Header.Get("Retry-After")
 		}(c)
 	}
+	// Release the engine only once every request that could not be
+	// admitted has been answered.
+	for i := 0; i < clients-maxInFlight; i++ {
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d unadmitted requests answered while the engine was held", i, clients-maxInFlight)
+		}
+	}
+	g.open()
 	wg.Wait()
 	ok, shed := 0, 0
 	for c, code := range codes {
@@ -398,11 +421,8 @@ func TestServerAdmissionControl(t *testing.T) {
 			t.Errorf("client %d: unexpected status %d", c, code)
 		}
 	}
-	if ok == 0 {
-		t.Error("no request was admitted")
-	}
-	if shed == 0 {
-		t.Error("no request was shed despite MaxInFlight=2 and 16 clients")
+	if ok != maxInFlight || shed != clients-maxInFlight {
+		t.Errorf("%d admitted and %d shed, want %d and %d", ok, shed, maxInFlight, clients-maxInFlight)
 	}
 }
 
@@ -502,6 +522,8 @@ func TestMetricsHistogramRendering(t *testing.T) {
 	m.ObserveRequest("search", 400, 0.001)
 	m.ObserveBatch(3)
 	m.ObserveBatch(64)
+	m.ObserveQueueWait(0.00002)
+	m.ObserveQueueWait(0.003)
 	eng, _, _ := testEngine(t, 60)
 	var sb strings.Builder
 	m.WritePrometheus(&sb, eng, newResultCache(4), nil)
@@ -515,6 +537,9 @@ func TestMetricsHistogramRendering(t *testing.T) {
 		`mustd_batch_size_bucket{le="4"} 1`,
 		`mustd_batch_size_bucket{le="64"} 2`,
 		"mustd_batch_size_count 2",
+		`mustd_batch_queue_wait_seconds_bucket{le="2.5e-05"} 1`,
+		`mustd_batch_queue_wait_seconds_bucket{le="0.005"} 2`,
+		"mustd_batch_queue_wait_seconds_count 2",
 		"mustd_engine_objects 60",
 	} {
 		if !strings.Contains(out, want) {

@@ -518,6 +518,37 @@ func (e *Engine) Save(path string) error {
 	return f.Close()
 }
 
+// readIDTables decodes an engine file's stable-ID table (n little-endian
+// u64s) and tombstone table (n bytes). Both grow chunk by chunk as bytes
+// actually arrive, so a corrupt header claiming billions of objects fails
+// with a read error after at most the real stream size instead of
+// committing the claimed allocation up front.
+func readIDTables(br *bufio.Reader, n int) (ids []int64, dead []bool, anyDead bool, err error) {
+	scratch := make([]byte, 1<<16)
+	ids = make([]int64, 0, min(n, len(scratch)/8))
+	for len(ids) < n {
+		k := min(n-len(ids), len(scratch)/8)
+		if _, err := io.ReadFull(br, scratch[:8*k]); err != nil {
+			return nil, nil, false, fmt.Errorf("must: reading ID table: %w", err)
+		}
+		for i := 0; i < k; i++ {
+			ids = append(ids, int64(binary.LittleEndian.Uint64(scratch[8*i:])))
+		}
+	}
+	dead = make([]bool, 0, min(n, len(scratch)))
+	for len(dead) < n {
+		k := min(n-len(dead), len(scratch))
+		if _, err := io.ReadFull(br, scratch[:k]); err != nil {
+			return nil, nil, false, fmt.Errorf("must: reading tombstone table: %w", err)
+		}
+		for _, b := range scratch[:k] {
+			dead = append(dead, b != 0)
+			anyDead = anyDead || b != 0
+		}
+	}
+	return ids, dead, anyDead, nil
+}
+
 // ReadEngine deserializes an engine written with SaveTo, restoring
 // schema, weights, build options, objects, stable IDs, tombstones, and
 // the built graph.
@@ -594,23 +625,12 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, n)
-	for i := range ids {
-		var x uint64
-		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
-			return nil, err
-		}
-		ids[i] = int64(x)
+	if n > maxPersistObjects {
+		return nil, fmt.Errorf("must: unreasonable object count %d", n)
 	}
-	dead := make([]bool, n)
-	anyDead := false
-	for i := range dead {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		dead[i] = b != 0
-		anyDead = anyDead || dead[i]
+	ids, dead, anyDead, err := readIDTables(br, int(n))
+	if err != nil {
+		return nil, err
 	}
 	c, err := readCollectionBody(br)
 	if err != nil {

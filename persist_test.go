@@ -3,6 +3,7 @@ package must
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -239,6 +240,48 @@ func TestReadCollectionV4NeverOverAllocates(t *testing.T) {
 	// (16 MiB); far below the petabytes the headers claim.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<20 {
 		t.Errorf("corrupt headers allocated %d bytes total, want bounded by the upfront cap", grew)
+	}
+}
+
+// An engine file's ID and tombstone tables are sized by an unchecked u32
+// object count. A short MUSTEG2 file claiming up to 2^32-1 objects must
+// fail with an error, committing memory in proportion to the bytes
+// actually delivered rather than to the claim.
+func TestReadEngineHugeClaimedObjectCountBounded(t *testing.T) {
+	mkFile := func(n uint32) []byte {
+		var buf bytes.Buffer
+		buf.WriteString("MUSTEG2\n")
+		le := func(v any) {
+			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		le(uint32(1))                  // modalities
+		le(uint32(5))                  // name length
+		buf.WriteString("image")       // name
+		le(uint32(8))                  // dim
+		le(math.Float32bits(1))        // weight
+		le([3]uint32{12, 2, 0})        // gamma, iterations, algorithm
+		le(int64(7))                   // seed
+		le(uint64(0))                  // next ID
+		le(uint64(0))                  // epoch
+		le(n)                          // object count
+		buf.Write(make([]byte, 1<<10)) // a short tail instead of the tables
+		return buf.Bytes()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, n := range []uint32{1<<32 - 1, maxPersistObjects, 1 << 27} {
+		if _, err := ReadEngine(bytes.NewReader(mkFile(n))); err == nil {
+			t.Errorf("claimed object count %d in a short file did not error", n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Each failed load may commit its 1 MiB read buffer and a few 64 KiB
+	// chunks; an upfront table would be 1-40 GB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("corrupt engine headers allocated %d bytes total, want bounded by the bytes delivered", grew)
 	}
 }
 
