@@ -62,7 +62,8 @@ type Baseline struct {
 // claims plus the storage-architecture invariants: single-thread search
 // throughput (0 allocs/op steady state), index-build time, index memory
 // (graph bytes/edge + single-copy corpus), the MUSTIX2 bulk-load path,
-// and the mustd serving pipeline (direct and batched dispatch).
+// and the mustd serving pipeline (direct and batched dispatch, and
+// whole HTTP requests).
 var gatedByDefault = []*regexp.Regexp{
 	regexp.MustCompile(`^BenchmarkSearch/flat/`),
 	regexp.MustCompile(`^BenchmarkFig6MUSTSearch$`),
@@ -71,6 +72,9 @@ var gatedByDefault = []*regexp.Regexp{
 	regexp.MustCompile(`^BenchmarkIndexMemory$`),
 	regexp.MustCompile(`^BenchmarkIndexLoad$`),
 	regexp.MustCompile(`^BenchmarkServePipeline/`),
+	// One /v1/search request through the real handler (decode, batcher,
+	// engine, encode) at 36-d and CLIP-scale 768-d.
+	regexp.MustCompile(`^BenchmarkServeHTTP/`),
 	// Sharded-engine scale path: parallel build and fan-out/merge search.
 	// The PR tier (n=16384) lives in BENCH_BASELINE.json; the nightly
 	// 256k tier (MUST_SCALE=1) gates against BENCH_BASELINE_SCALE.json.

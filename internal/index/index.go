@@ -277,7 +277,7 @@ func (b *BruteForce) topK(query vec.Multi, k, workers int, keep func(id int) boo
 			if hi > n {
 				hi = n
 			}
-			local := make([]search.Result, 0, k+1)
+			local := make([]search.Result, 0, min(k, max(hi-lo, 0))+1)
 			for i := lo; i < hi; i++ {
 				if keep != nil && !keep(i) {
 					continue

@@ -159,6 +159,9 @@ func TestBruteForceEdgeCases(t *testing.T) {
 	if got := bf.TopK(q, 0); len(got) != 0 {
 		t.Error("k=0 returned results")
 	}
+	if got := bf.TopKParallel(q, 1<<40); len(got) != 3 {
+		t.Errorf("k=1<<40 returned %d results, want 3", len(got))
+	}
 }
 
 // Graph search must approach brute-force results — the fused index is an

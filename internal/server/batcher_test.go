@@ -30,18 +30,25 @@ func randVec(rng *rand.Rand, dim int) []float32 {
 // match is ids[i] (queries are the stored, normalized vectors).
 func testEngine(t testing.TB, n int) (*must.Engine, []must.Query, []int64) {
 	t.Helper()
+	return testEngineDims(t, n, testImgDim, testTxtDim)
+}
+
+// testEngineDims is testEngine over an image+text schema of the given
+// dimensions.
+func testEngineDims(t testing.TB, n, imgDim, txtDim int) (*must.Engine, []must.Query, []int64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	eng, err := must.NewEngine(must.Schema{
-		{Name: "image", Dim: testImgDim},
-		{Name: "text", Dim: testTxtDim},
+		{Name: "image", Dim: imgDim},
+		{Name: "text", Dim: txtDim},
 	}, must.EngineOptions{Build: must.BuildOptions{Gamma: 12, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		if _, err := eng.Insert(must.NamedVectors{
-			"image": randVec(rng, testImgDim),
-			"text":  randVec(rng, testTxtDim),
+			"image": randVec(rng, imgDim),
+			"text":  randVec(rng, txtDim),
 		}); err != nil {
 			t.Fatal(err)
 		}

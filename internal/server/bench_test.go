@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -14,6 +18,10 @@ var (
 	benchOnce    sync.Once
 	benchEng     *must.Engine
 	benchQueries []must.Query
+
+	clipOnce    sync.Once
+	clipEng     *must.Engine
+	clipQueries []must.Query
 )
 
 func benchSetup(b *testing.B) (*must.Engine, []must.Query) {
@@ -22,6 +30,15 @@ func benchSetup(b *testing.B) (*must.Engine, []must.Query) {
 		benchEng, benchQueries, _ = testEngine(b, 2000)
 	})
 	return benchEng, benchQueries
+}
+
+// clipSetup is benchSetup at CLIP scale (512+256-d).
+func clipSetup(b *testing.B) (*must.Engine, []must.Query) {
+	b.Helper()
+	clipOnce.Do(func() {
+		clipEng, clipQueries, _ = testEngineDims(b, 2000, 512, 256)
+	})
+	return clipEng, clipQueries
 }
 
 // BenchmarkServePipeline measures the serving hot path at high offered
@@ -67,4 +84,41 @@ func BenchmarkServePipeline(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkServeHTTP measures one /v1/search request at a time through
+// the real handler stack (admission, body decode, batcher, engine,
+// response encode) with an httptest recorder and the default Config.
+// Requests set no_cache, so every one reaches the engine; 768d is the
+// CLIP-scale case where decoding the request body is the largest stage
+// outside the engine.
+func BenchmarkServeHTTP(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		setup func(*testing.B) (*must.Engine, []must.Query)
+	}{{"36d", benchSetup}, {"768d", clipSetup}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng, queries := bc.setup(b)
+			s := New(eng, Config{})
+			defer s.Close()
+			h := s.Handler()
+			bodies := make([][]byte, len(queries))
+			for i, q := range queries {
+				raw, err := json.Marshal(&SearchRequest{Vectors: q.Vectors, K: 10, NoCache: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bodies[i] = raw
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(bodies[i%len(bodies)])))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("search: %d %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
 }

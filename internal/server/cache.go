@@ -159,7 +159,7 @@ func cacheKey(req *SearchRequest) string {
 	}
 	sort.Strings(names)
 
-	size := 16
+	size := 36 // k, l, patience, flags and the two counts
 	for _, name := range names {
 		size += len(name) + 8 + 4*len(req.Vectors[name])
 	}
@@ -170,14 +170,19 @@ func cacheKey(req *SearchRequest) string {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
 		b = append(b, scratch[:4]...)
 	}
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(scratch[:], v)
+		b = append(b, scratch[:]...)
+	}
 	str := func(s string) {
 		u32(uint32(len(s)))
 		b = append(b, s...)
 	}
 
-	u32(uint32(req.K))
-	u32(uint32(req.L))
-	u32(uint32(req.Patience))
+	// Full width: k=10 and k=2³²+10 are different searches.
+	u64(uint64(req.K))
+	u64(uint64(req.L))
+	u64(uint64(req.Patience))
 	flags := uint32(0)
 	if req.DisableOptimization {
 		flags = 1

@@ -31,11 +31,16 @@ func TestCacheKeyCanonical(t *testing.T) {
 		t.Fatal("identical requests produced different keys")
 	}
 	// Every result-affecting parameter must change the key.
+	wide := int64(1) << 32
 	variants := []*SearchRequest{
 		{Vectors: a.Vectors, Weights: a.Weights, K: 8, L: 40},
 		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 41},
 		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 40, Patience: 3},
 		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 40, DisableOptimization: true},
+		// 64-bit fields: a value 2³² apart must not alias.
+		{Vectors: a.Vectors, Weights: a.Weights, K: 7 + int(wide), L: 40},
+		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 40 + int(wide)},
+		{Vectors: a.Vectors, Weights: a.Weights, K: 7, L: 40, Patience: int(wide)},
 		{Vectors: a.Vectors, Weights: map[string]float32{"image": 0.5}, K: 7, L: 40},
 		{Vectors: map[string][]float32{"image": {1, 2}}, Weights: a.Weights, K: 7, L: 40},
 		{Vectors: map[string][]float32{"image": {1, 2.5}, "text": {3}}, Weights: a.Weights, K: 7, L: 40},

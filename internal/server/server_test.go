@@ -666,3 +666,71 @@ func TestServerShardedEngineCacheInvalidation(t *testing.T) {
 		t.Fatalf("aggregate objects %d, want 199", st.Engine.Objects)
 	}
 }
+
+// k is 64-bit on the wire: a k=2³²+10 search must not leave a cache
+// entry that a later k=10 search hits.
+func TestServerCacheKeyFullWidthK(t *testing.T) {
+	_, ts, queries, _ := testServer(t, Config{})
+	wide := int64(1)<<32 + 10
+	resp, data := postJSON(t, ts.URL+"/v1/search", &SearchRequest{Vectors: queries[0].Vectors, K: int(wide)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k=2³²+10 search: %d %s", resp.StatusCode, data)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/search", &SearchRequest{Vectors: queries[0].Vectors, K: 10})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k=10 search: %d %s", resp.StatusCode, data)
+	}
+	var sr SearchResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Cached || len(sr.Matches) > 10 {
+		t.Fatalf("k=10 search after k=2³²+10: cached=%v with %d matches", sr.Cached, len(sr.Matches))
+	}
+}
+
+// A client-chosen k must not size a sharded merge buffer: k=1e9 against
+// a 2-shard server once died in a fatal, unrecoverable out-of-memory.
+func TestServerShardedHugeK(t *testing.T) {
+	const n = 100
+	eng, err := must.NewShardedEngine(must.Schema{
+		{Name: "image", Dim: testImgDim},
+		{Name: "text", Dim: testTxtDim},
+	}, 2, must.EngineOptions{Build: must.BuildOptions{Gamma: 12, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < n; i++ {
+		if _, err := eng.Insert(must.NamedVectors{
+			"image": randVec(rng, testImgDim),
+			"text":  randVec(rng, testTxtDim),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Build(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	probe, err := eng.Object(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/search", &SearchRequest{Vectors: probe, K: 1e9})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k=1e9 search: %d %s", resp.StatusCode, data)
+	}
+	var sr SearchResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Matches) == 0 || len(sr.Matches) > n || sr.Matches[0].ID != 7 {
+		t.Fatalf("k=1e9: %d matches (want 1..%d, top 7)", len(sr.Matches), n)
+	}
+}

@@ -106,7 +106,13 @@ func MergeTopK[T any](lists [][]T, k int, better func(a, b T) bool) []T {
 			up(len(h) - 1)
 		}
 	}
-	out := make([]T, 0, k)
+	// k is caller-supplied (a client's search k): bound the buffer by
+	// what the lists hold, not by what was asked for.
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]T, 0, min(k, total))
 	for len(h) > 0 && len(out) < k {
 		c := h[0]
 		out = append(out, at(c))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,24 @@ func TestMergeTopKEdgeCases(t *testing.T) {
 	}
 	if got := MergeTopK([][]int{{3, 2}}, 10, gt); len(got) != 2 {
 		t.Errorf("k beyond total: %v", got)
+	}
+}
+
+// k reaches MergeTopK straight from a client's search request: a huge
+// k must merge like k = Σ len and allocate for the elements, not for k.
+func TestMergeTopKHugeKBounded(t *testing.T) {
+	gt := func(a, b int) bool { return a > b }
+	lists := [][]int{{9, 5, 1}, {8, 7}, {}, {6}}
+	want := MergeTopK(lists, 6, gt)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := MergeTopK(lists, 1<<40, gt)
+	runtime.ReadMemStats(&after)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("k=1<<40 merged %v, k=Σlen merged %v", got, want)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<16 {
+		t.Fatalf("k=1<<40 allocated %d bytes for 6 elements", d)
 	}
 }
 
