@@ -22,13 +22,13 @@ type shardedBench struct {
 	mu      sync.Mutex
 	corpus  map[int][]must.Object
 	queries []must.NamedVectors
-	engines map[string]*must.ShardedEngine
+	engines map[string]*must.Engine
 	truth   map[int][]map[int64]bool // n -> per-query exact top-10 ID set
 }
 
 var sb = shardedBench{
 	corpus:  map[int][]must.Object{},
-	engines: map[string]*must.ShardedEngine{},
+	engines: map[string]*must.Engine{},
 	truth:   map[int][]map[int64]bool{},
 }
 
@@ -74,7 +74,7 @@ func (s *shardedBench) getCorpus(n int) []must.Object {
 	return objs
 }
 
-func shardedBenchEngine(b *testing.B, n, shards int, build bool) *must.ShardedEngine {
+func shardedBenchEngine(b *testing.B, n, shards int, build bool) *must.Engine {
 	b.Helper()
 	eng, err := must.NewShardedEngine(shardedBenchSchema, shards, must.EngineOptions{
 		Build: must.BuildOptions{Gamma: 24, Seed: 7},
@@ -97,7 +97,7 @@ func shardedBenchEngine(b *testing.B, n, shards int, build bool) *must.ShardedEn
 
 // getBuiltEngine caches one built engine per (n, S) for the whole bench
 // process, so -count reruns re-time search without rebuilding.
-func (s *shardedBench) getBuiltEngine(b *testing.B, n, shards int) *must.ShardedEngine {
+func (s *shardedBench) getBuiltEngine(b *testing.B, n, shards int) *must.Engine {
 	b.Helper()
 	key := fmt.Sprintf("%d/%d", n, shards)
 	if eng, ok := s.engines[key]; ok {
@@ -111,7 +111,7 @@ func (s *shardedBench) getBuiltEngine(b *testing.B, n, shards int) *must.Sharded
 // getTruth caches the exact top-10 ID sets of the first 16 bench queries
 // (exhaustive scan is partition-independent, so any engine over the same
 // corpus produces the same sets).
-func (s *shardedBench) getTruth(b *testing.B, eng *must.ShardedEngine, n int) []map[int64]bool {
+func (s *shardedBench) getTruth(b *testing.B, eng *must.Engine, n int) []map[int64]bool {
 	b.Helper()
 	if tr, ok := s.truth[n]; ok {
 		return tr

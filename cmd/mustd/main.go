@@ -1,5 +1,5 @@
 // Command mustd is the MUST serving daemon: an HTTP/JSON front end over
-// a must.Service (one Engine, or a ShardedEngine with -shards) with
+// a must.Engine (S shards with -shards, one by default) with
 // dynamic request batching, an epoch-invalidated result cache, admission
 // control, Prometheus metrics, and a graceful SIGTERM drain. All serving
 // logic lives in internal/server; this file is flags, lifecycle, and
@@ -10,9 +10,9 @@
 //	mustd -load engine.bin -snapshot engine.bin # restore, snapshot on shutdown
 //	mustd -schema image:512,text:384 -wal ./wal # log every mutation, replay on restart
 //
-// -load sniffs the snapshot magic, so single and sharded snapshots both
-// restore with the same flag (a sharded snapshot restores a sharded
-// engine; -shards is ignored on restore).
+// -load restores the shard count the snapshot was saved with (-shards is
+// ignored on restore); pre-MUSTSH1 single-engine snapshots restore as
+// one shard.
 //
 // Endpoints: POST /v1/search /v1/insert /v1/delete /v1/rebuild,
 // GET /v1/stats /healthz /metrics.
@@ -49,7 +49,7 @@ func main() {
 		gamma = flag.Int("gamma", 30, "graph degree bound γ for builds of a fresh engine")
 		seed  = flag.Int64("seed", 0, "construction seed for builds of a fresh engine")
 
-		shards = flag.Int("shards", 1, "partition a fresh engine into this many shards (parallel build/rebuild, fan-out search); 1 = single engine")
+		shards = flag.Int("shards", 1, "partition a fresh engine into this many shards (parallel build/rebuild, fan-out search); 1 = one shard searched inline")
 
 		sq8    = flag.Bool("sq8", false, "serve beam search over an int8 (SQ8) shadow of the vectors with exact float32 re-rank; 4x less scan bandwidth at a small recall cost")
 		rerank = flag.Int("rerank", 0, "exact re-rank depth of the -sq8 path: top candidates re-scored in float32 (0 = 4x the request's k)")
@@ -125,15 +125,11 @@ func parseSchema(spec string) (must.Schema, error) {
 func openEngine(load, schemaSpec string, gamma int, seed int64, shards int) (must.Service, error) {
 	if load != "" {
 		start := time.Now()
-		eng, err := must.LoadService(load)
+		eng, err := must.LoadEngine(load)
 		if err != nil {
 			return nil, fmt.Errorf("loading %s: %w", load, err)
 		}
-		kind := "engine"
-		if se, ok := eng.(*must.ShardedEngine); ok {
-			kind = fmt.Sprintf("%d-shard engine", se.ShardCount())
-		}
-		log.Printf("restored %s with %d objects from %s in %v", kind, eng.Len(), load, time.Since(start).Round(time.Millisecond))
+		log.Printf("restored %d-shard engine with %d objects from %s in %v", eng.ShardCount(), eng.Len(), load, time.Since(start).Round(time.Millisecond))
 		return eng, nil
 	}
 	sc, err := parseSchema(schemaSpec)
@@ -143,10 +139,7 @@ func openEngine(load, schemaSpec string, gamma int, seed int64, shards int) (mus
 	opts := must.EngineOptions{
 		Build: must.BuildOptions{Gamma: gamma, Seed: seed},
 	}
-	if shards > 1 {
-		return must.NewShardedEngine(sc, shards, opts)
-	}
-	return must.NewEngine(sc, opts)
+	return must.NewShardedEngine(sc, shards, opts)
 }
 
 // saveSnapshot writes the engine to path durably: temp file, fsync the

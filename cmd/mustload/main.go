@@ -34,7 +34,7 @@ type statsResponse struct {
 	Schema  []modality `json:"schema"`
 	Objects int        `json:"objects"`
 	Built   bool       `json:"built"`
-	// Shards is non-empty when the target daemon runs a sharded engine.
+	// Shards is non-empty when the target daemon's engine has S>1 shards.
 	Shards []struct {
 		State string `json:"state"`
 	} `json:"shards"`

@@ -101,7 +101,7 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 			// on disk survives.
 			ffs.Clear()
 
-			eng, err := LoadService(snap)
+			eng, err := LoadEngine(snap)
 			if err != nil {
 				t.Fatalf("snapshot unreadable after crashed checkpoint: %v", err)
 			}
@@ -238,7 +238,9 @@ func TestLoadEngineV1Compat(t *testing.T) {
 	if err := e.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
+	// The single shard's MUSTEG2 blob follows the MUSTSH1 header and its
+	// size prefix.
+	blob := buf.Bytes()[shHeaderLen+8:]
 
 	// Reconstruct the v1 layout: same bytes minus the epoch u64, under
 	// the old magic. The epoch sits right after nextID.

@@ -19,8 +19,8 @@ import (
 // exactly the acked state.
 //
 // Records carry the engine's mutation epoch after the record applied,
-// and snapshots (MUSTEG2) persist their epoch — so replay skips records
-// the snapshot already captured, and stale WAL segments left behind by a
+// and snapshots persist their epoch — so replay skips records the
+// snapshot already captured, and stale WAL segments left behind by a
 // failed truncation are harmless.
 //
 // A mutation whose WAL append fails is NOT acked and poisons the
@@ -134,13 +134,9 @@ func applyRecord(svc Service, rec wal.Record) error {
 		if len(rec.Data) != 4 {
 			return fmt.Errorf("must: rebuild-shard record has %d data bytes, want 4", len(rec.Data))
 		}
-		sr, ok := svc.(ShardRebuilder)
-		if !ok {
-			return fmt.Errorf("must: wal has a rebuild-shard record but the service is not sharded")
-		}
 		// The record was logged on a built engine at this exact epoch, so
 		// replay reaches here with the shard built too — no Build probe.
-		return sr.RebuildShard(int(binary.LittleEndian.Uint32(rec.Data)))
+		return svc.RebuildShard(int(binary.LittleEndian.Uint32(rec.Data)))
 	}
 	return fmt.Errorf("must: unknown wal op %d", rec.Op)
 }
@@ -225,34 +221,12 @@ func (d *DurableService) Rebuild() error {
 	return d.logRecord(wal.OpRebuild, nil)
 }
 
-// ShardCount reports the wrapped service's shard count, or 1 when it is
-// not sharded (the whole engine is one maintenance unit).
-func (d *DurableService) ShardCount() int {
-	if sr, ok := d.Service.(ShardRebuilder); ok {
-		return sr.ShardCount()
-	}
-	return 1
-}
-
-// ShardStats forwards the wrapped service's per-shard statistics, or nil
-// when it is not sharded.
-func (d *DurableService) ShardStats() []ShardInfo {
-	if sr, ok := d.Service.(ShardRebuilder); ok {
-		return sr.ShardStats()
-	}
-	return nil
-}
-
-// RebuildShard rebuilds one shard of the wrapped sharded service and
-// logs an OpRebuildShard record. Single-shard rebuilds get their own op
-// (rather than OpRebuild) because a full rebuild bumps every shard's
-// epoch while this bumps one — epoch-guarded replay must reproduce the
-// logged epoch sequence exactly.
+// RebuildShard rebuilds one shard of the wrapped service and logs an
+// OpRebuildShard record. Single-shard rebuilds get their own op (rather
+// than OpRebuild) because a full rebuild bumps every shard's epoch while
+// this bumps one — epoch-guarded replay must reproduce the logged epoch
+// sequence exactly.
 func (d *DurableService) RebuildShard(j int) error {
-	sr, ok := d.Service.(ShardRebuilder)
-	if !ok {
-		return fmt.Errorf("must: service is not sharded; use Rebuild")
-	}
 	var data [4]byte
 	binary.LittleEndian.PutUint32(data[:], uint32(j))
 	d.mu.Lock()
@@ -260,7 +234,7 @@ func (d *DurableService) RebuildShard(j int) error {
 	if d.poisoned != nil {
 		return d.poisoned
 	}
-	if err := sr.RebuildShard(j); err != nil {
+	if err := d.Service.RebuildShard(j); err != nil {
 		return err
 	}
 	return d.logRecord(wal.OpRebuildShard, data[:])

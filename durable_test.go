@@ -172,7 +172,7 @@ func TestDurableCheckpointTruncatesAndSkips(t *testing.T) {
 	}
 
 	// Restart: snapshot restore + replay of exactly the 3 tail records.
-	eng, err := LoadService(snap)
+	eng, err := LoadEngine(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,33 +6,26 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"must/internal/index"
-	"must/internal/search"
+	"must/internal/graph"
+	"must/internal/maint"
+	"must/internal/shard"
 	"must/internal/vec"
 )
 
-// defaultWorkers caps a batch's default concurrency at GOMAXPROCS.
-func defaultWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	return w
-}
+// ErrAllQuarantined is returned by Search/SearchEach when every built
+// shard's health breaker is open, so the fan-out has nowhere to route
+// the query. The condition is transient: each breaker re-admits a
+// half-open probe within its probe interval (default 5s), and a
+// maintenance rebuild resets it sooner. Callers should retry shortly;
+// mustd maps it to 503 + Retry-After.
+var ErrAllQuarantined = errors.New("must: all shards quarantined")
 
-// ErrNotBuilt is returned by Engine operations that need a built index.
-var ErrNotBuilt = errors.New("must: engine index not built (call Build first)")
-
-// ErrUnknownID is wrapped by errors that reference an object ID the
-// engine has never handed out (or has already compacted away). Match it
-// with errors.Is; a ShardedEngine uses it to re-report shard-local
-// failures under the caller's global ID.
-var ErrUnknownID = errors.New("unknown object id")
-
-// EngineOptions configures NewEngine; the zero value means uniform
-// weights and the default build parameters (γ=30, ε=3, AlgoOurs).
+// EngineOptions configures NewEngine and NewShardedEngine; the zero
+// value means uniform weights and the default build parameters (γ=30,
+// ε=3, AlgoOurs).
 type EngineOptions struct {
 	// Weights are the initial per-modality weights ω in schema order;
 	// nil means uniform. LearnWeights or SetWeights replace them later.
@@ -41,65 +34,185 @@ type EngineOptions struct {
 	Build BuildOptions
 }
 
+// ShardState is the build-progress state of one shard of an Engine.
+type ShardState uint32
+
+// Shard build-progress states, visible through ShardStats.
+const (
+	// ShardPending means the shard has no graph yet. Only empty shards
+	// stay pending after a successful Build; the first Insert routed to a
+	// pending shard builds it lazily.
+	ShardPending ShardState = iota
+	// ShardBuilding means a Build or Rebuild of the shard's graph is in
+	// flight. During a Rebuild the shard keeps serving from its previous
+	// graph.
+	ShardBuilding
+	// ShardBuilt means the shard has a live graph.
+	ShardBuilt
+)
+
+func (s ShardState) String() string {
+	switch s {
+	case ShardPending:
+		return "pending"
+	case ShardBuilding:
+		return "building"
+	case ShardBuilt:
+		return "built"
+	}
+	return fmt.Sprintf("ShardState(%d)", uint32(s))
+}
+
+// ShardInfo is one shard's slice of Engine.ShardStats.
+type ShardInfo struct {
+	// State is the shard's build-progress state ("pending", "building",
+	// "built").
+	State string `json:"state"`
+	// Objects is the shard's live object count (tombstones excluded).
+	Objects int `json:"objects"`
+	// Deleted is the shard's tombstone count.
+	Deleted int `json:"deleted"`
+	// Epoch is the shard's own mutation epoch. The engine-level Epoch is
+	// the sum of these, so any single-shard mutation changes the
+	// engine-level value — per-shard writes stay per-shard, but caches
+	// keyed on the summed epoch still invalidate correctly.
+	Epoch uint64 `json:"epoch"`
+	// Health is the shard's circuit-breaker state ("healthy", "degraded",
+	// "quarantined", "probing"). Quarantined shards are skipped by the
+	// search fan-out until a half-open probe or an automatic rebuild
+	// re-admits them.
+	Health string `json:"health"`
+	// Stats is the shard's index statistics; zero until the shard is
+	// built.
+	Stats Stats `json:"stats"`
+}
+
 // Engine is the recommended high-level entry point: a schema-typed,
 // concurrency-safe multimodal search engine built on the low-level
-// Collection/Index layer.
+// Collection/Index layer. It partitions the corpus into S shards (S=1
+// from NewEngine), each with its own arena-backed store, CSR graph,
+// searcher pool, and lock:
 //
-// Unlike Collection/Index, an Engine is safe for concurrent use: Search
-// calls run in parallel with each other (each borrows a searcher from an
-// internal pool), and Insert, Delete, SetWeights, and Rebuild may be
-// called from other goroutines at any time. Mutations take a write lock,
-// so they briefly block searches; Rebuild does its graph construction
-// off-lock and only blocks to swap the new graph in.
+//   - Build and Rebuild run shards in parallel on a bounded worker pool,
+//     and Rebuild compacts one shard at a time with no engine-wide stall —
+//     each shard keeps serving from its previous graph until its own
+//     atomic swap.
+//   - Search fans the query out across shards (reusing each shard's
+//     pooled searchers) and merges per-shard top-k with a k-way heap,
+//     preserving per-modality score breakdowns. A single shard is
+//     searched inline on the caller's goroutine, with no fan-out or
+//     merge.
+//   - Insert and Delete route by ID, so write locks are per-shard: a
+//     write to shard 3 never blocks a search that only touches shard 5.
 //
-// Object IDs handed out by Insert are stable for the lifetime of the
-// Engine, across Rebuild compactions included.
+// Search calls run in parallel with each other, and Insert, Delete,
+// SetWeights, and Rebuild may be called from other goroutines at any
+// time.
+//
+// Global IDs are pure arithmetic over (shard, local): global = local·S +
+// shard. Sequential inserts are assigned round-robin, which yields the
+// dense sequence 0,1,2,… for every S and keeps shards within one object
+// of perfectly balanced. IDs are stable for the lifetime of the engine,
+// across Rebuild compactions included.
+//
+// The shard count is fixed at creation (it is baked into every global
+// ID); pick S once, at most a small multiple of the core count.
 type Engine struct {
 	schema Schema
 	byName map[string]int
+	shards []*shardEngine
 
-	// rebuildMu serializes Build/Rebuild so two rebuilds cannot
-	// interleave their snapshot/swap phases.
-	rebuildMu sync.Mutex
+	// rr is the round-robin insert cursor; rr mod S picks the next
+	// shard. Atomic so Insert never takes an engine-wide lock.
+	rr atomic.Uint64
 
-	mu        sync.RWMutex
-	c         *Collection
-	ix        *Index // nil until Build
-	weights   Weights
-	build     BuildOptions
-	ids       []int64       // ids[internal slot] = engine ID
-	lookup    map[int64]int // engine ID -> internal slot
-	nextID    int64
-	searchers *sync.Pool // *search.Searcher over the current graph
-	// epoch counts result-visible mutations (insert, delete, weight
-	// change, build, rebuild). Serving layers key caches on it: any
-	// mutation bumps it, invalidating every cached result at once.
-	epoch uint64
-	// quantize routes searches over the SQ8 shadow store (see
-	// EnableQuantization); rerankK is the exact re-rank depth (0 = 4·k).
-	quantize bool
-	rerankK  int
+	// buildMu serializes Build/Rebuild at the engine level.
+	buildMu sync.Mutex
 
-	// adm gates the write path (see SetAdmission); its cached debt ratio
-	// is refreshed under the write lock by updateDebtLocked.
+	// mu makes the initial Build atomic with respect to every other
+	// operation. Rebuild deliberately does NOT hold it — per-shard
+	// rebuilds proceed under shardMu only, so serving never stalls.
+	mu sync.RWMutex
+
+	// shardMu[j] serializes graph (re)construction of shard j: the
+	// parallel Build/Rebuild pools and the lazy build on Insert all
+	// transition state[j] under it.
+	shardMu []sync.Mutex
+	// state[j] is the ShardState of shard j (atomic for lock-free
+	// ShardStats reads; written only under shardMu[j]).
+	state []atomic.Uint32
+	// builtShards counts shards that have a live graph. Zero means the
+	// engine as a whole is not built (searches return ErrNotBuilt).
+	builtShards atomic.Int32
+
+	// health[j] is shard j's circuit breaker: K consecutive
+	// shard-attributable failures — minority panics or straggler
+	// timeouts, never query-correlated ones that hit most shards at once
+	// — quarantine the shard (skipped by SearchEach until a half-open
+	// probe succeeds or a rebuild resets it). Always present;
+	// ConfigureHealth replaces the thresholds. At S=1 every failure is
+	// query-correlated, so the breaker never trips.
+	health []*maint.Breaker
+
+	// adm gates writes at the engine level — one shared budget across
+	// shards, debt read as the worst shard's ratio (see SetAdmission).
 	adm admission
 }
 
-// Epoch returns the engine's mutation epoch: a counter that increments
-// on every change that can alter search results (Insert, Delete,
-// SetWeights, LearnWeights, Build, Rebuild). Two searches issued at the
-// same epoch with the same query return the same results, so the epoch
-// is a correct cache-invalidation key for result caches above the
-// engine.
-func (e *Engine) Epoch() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.epoch
+// HealthConfig tunes the per-shard circuit breakers; see ConfigureHealth.
+type HealthConfig struct {
+	// Threshold is K: consecutive shard-attributable failures (panics on
+	// a minority of shards, or a fan-out timeout that only this shard
+	// missed) within Window before the shard is quarantined (default 3).
+	Threshold int
+	// Window bounds how far apart consecutive failures may be and still
+	// count as one run (default 10s).
+	Window time.Duration
+	// Probe is how long a quarantined shard stays fully skipped before
+	// one half-open probe request is routed to it (default 5s).
+	Probe time.Duration
 }
 
-// NewEngine creates an empty engine with the given schema. Schema[0] is
-// the target modality.
+// ConfigureHealth retunes every shard's circuit breaker in place (zero
+// fields take defaults), resetting all health state to healthy.
+// Breakers run with default thresholds from creation, so this is only
+// needed to change them.
+func (s *Engine) ConfigureHealth(cfg HealthConfig) {
+	for _, b := range s.health {
+		b.Configure(maint.BreakerConfig{
+			Threshold: cfg.Threshold,
+			Window:    cfg.Window,
+			Probe:     cfg.Probe,
+		})
+	}
+}
+
+// ShardHealth returns the per-shard circuit-breaker states (index =
+// shard): "healthy", "degraded", "quarantined", or "probing".
+func (s *Engine) ShardHealth() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, len(s.health))
+	for j, b := range s.health {
+		out[j] = b.State().String()
+	}
+	return out
+}
+
+// NewEngine creates an empty single-shard engine with the given schema.
+// Schema[0] is the target modality. It is NewShardedEngine(schema, 1,
+// opts).
 func NewEngine(schema Schema, opts EngineOptions) (*Engine, error) {
+	return NewShardedEngine(schema, 1, opts)
+}
+
+// NewShardedEngine creates an empty engine with the given schema and
+// shard count. shards must be in [1, 4096]; every shard applies the
+// same EngineOptions. Schema[0] is the target modality.
+func NewShardedEngine(schema Schema, shards int, opts EngineOptions) (*Engine, error) {
+	if err := shard.Validate(shards); err != nil {
+		return nil, fmt.Errorf("must: %w", err)
+	}
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,38 +223,138 @@ func NewEngine(schema Schema, opts EngineOptions) (*Engine, error) {
 	} else if len(w) != len(sc) {
 		return nil, fmt.Errorf("must: %d weights for %d modalities", len(w), len(sc))
 	}
-	c := NewCollection(sc.Dims()...)
-	c.names = sc.Names()
-	e := &Engine{
-		schema:  sc,
-		byName:  make(map[string]int, len(sc)),
-		c:       c,
-		weights: append(Weights(nil), w...),
-		build:   opts.Build,
-		lookup:  make(map[int64]int),
+	byName := schemaIndex(sc)
+	parts := make([]*shardEngine, shards)
+	for j := range parts {
+		parts[j] = newShardEngine(sc, byName, w, opts.Build)
 	}
-	for i, m := range sc {
-		e.byName[m.Name] = i
-	}
-	return e, nil
+	return newEngine(sc, byName, parts, 0), nil
 }
 
+// schemaIndex maps each modality name to its schema position.
+func schemaIndex(sc Schema) map[string]int {
+	byName := make(map[string]int, len(sc))
+	for i, m := range sc {
+		byName[m.Name] = i
+	}
+	return byName
+}
+
+// newEngine wires shards (already agreeing on sc) into an Engine with
+// insert cursor rr, marking every shard that has a graph as built.
+func newEngine(sc Schema, byName map[string]int, parts []*shardEngine, rr uint64) *Engine {
+	s := &Engine{
+		schema:  sc,
+		byName:  byName,
+		shards:  parts,
+		shardMu: make([]sync.Mutex, len(parts)),
+		state:   make([]atomic.Uint32, len(parts)),
+		health:  make([]*maint.Breaker, len(parts)),
+	}
+	for j, e := range parts {
+		s.health[j] = maint.NewBreaker(maint.BreakerConfig{})
+		if e.ix != nil {
+			s.state[j].Store(uint32(ShardBuilt))
+			s.builtShards.Add(1)
+		}
+	}
+	s.rr.Store(rr)
+	return s
+}
+
+// ShardCount returns the number of shards S.
+func (s *Engine) ShardCount() int { return len(s.shards) }
+
 // Schema returns a copy of the engine's schema.
-func (e *Engine) Schema() Schema { return append(Schema(nil), e.schema...) }
+func (s *Engine) Schema() Schema { return append(Schema(nil), s.schema...) }
+
+// Epoch returns the engine's mutation epoch: the sum of the per-shard
+// epochs, each of which increments on every change that can alter
+// search results (Insert, Delete, SetWeights, LearnWeights, Build,
+// Rebuild). The sum is monotone, and two searches issued at the same
+// epoch with the same query return the same results, so it is a correct
+// cache-invalidation key for result caches above the engine.
+func (s *Engine) Epoch() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var sum uint64
+	for _, e := range s.shards {
+		sum += e.Epoch()
+	}
+	return sum
+}
+
+// Epochs returns the per-shard epoch vector (index = shard).
+func (s *Engine) Epochs() []uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]uint64, len(s.shards))
+	for j, e := range s.shards {
+		out[j] = e.Epoch()
+	}
+	return out
+}
+
+// Len returns the number of live (non-tombstoned) objects.
+func (s *Engine) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, e := range s.shards {
+		n += e.Len()
+	}
+	return n
+}
+
+// Deleted returns the number of tombstoned objects awaiting Rebuild.
+func (s *Engine) Deleted() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, e := range s.shards {
+		n += e.Deleted()
+	}
+	return n
+}
+
+// SetAdmission installs (or, with the zero value, clears) write-path
+// admission control: one in-flight write budget shared across all
+// shards, with maintenance debt read as the worst shard's ratio.
+// Insert/InsertObject/Delete past the budget, or issued while debt is
+// at or past the watermark, fail fast with ErrOverloaded; searches are
+// never gated.
+func (s *Engine) SetAdmission(o AdmissionOptions) error {
+	return s.adm.configure(o)
+}
+
+// WritesShed returns how many writes admission control has refused.
+func (s *Engine) WritesShed() uint64 { return s.adm.writesShed() }
+
+// debtRatio reads the worst shard's cached maintenance-debt ratio (each
+// shard refreshes its own under its write lock).
+func (s *Engine) debtRatio() float64 {
+	var worst float64
+	for _, e := range s.shards {
+		if d := e.debtRatio(); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
 
 // positional converts named vectors to the schema's positional layout,
 // requiring every modality to be present (corpus objects carry all
 // modalities; only queries may omit some).
-func (e *Engine) positional(v NamedVectors) (Object, error) {
-	o := make(Object, len(e.schema))
+func (s *Engine) positional(v NamedVectors) (Object, error) {
+	o := make(Object, len(s.schema))
 	for name, emb := range v {
-		i, ok := e.byName[name]
+		i, ok := s.byName[name]
 		if !ok {
-			return nil, fmt.Errorf("must: unknown modality %q (schema has %v)", name, e.schema.Names())
+			return nil, fmt.Errorf("must: unknown modality %q (schema has %v)", name, s.schema.Names())
 		}
 		o[i] = emb
 	}
-	for i, m := range e.schema {
+	for i, m := range s.schema {
 		if o[i] == nil {
 			return nil, fmt.Errorf("must: object missing modality %q (objects must carry every modality; only queries may omit)", m.Name)
 		}
@@ -149,202 +362,138 @@ func (e *Engine) positional(v NamedVectors) (Object, error) {
 	return o, nil
 }
 
-// Insert adds an object and returns its stable engine ID. Before Build it
-// only accumulates into the collection; after Build it also links the
-// object into the live graph incrementally (§IX dynamic updates).
-func (e *Engine) Insert(v NamedVectors) (int64, error) {
-	o, err := e.positional(v)
+// Insert adds an object and returns its stable global ID. Before Build it
+// only accumulates; after Build it also links the object into the live
+// graph incrementally (§IX dynamic updates). The object is routed
+// round-robin, so only one shard's write lock is taken.
+func (s *Engine) Insert(v NamedVectors) (int64, error) {
+	o, err := s.positional(v)
 	if err != nil {
 		return 0, err
 	}
-	return e.InsertObject(o)
+	return s.InsertObject(o)
 }
 
 // InsertObject is Insert with vectors already in schema order — the
 // bulk-loading fast path that avoids building a map per object.
 // Returns ErrOverloaded when admission control sheds the write.
-func (e *Engine) InsertObject(o Object) (int64, error) {
-	release, err := e.adm.admit(e.adm.debtRatio())
+//
+// If the engine is built and the object lands in a shard that is still
+// pending (a shard can only be pending while empty), the shard's graph is
+// built on the spot so the object becomes searchable: post-Build inserts
+// are always immediately visible. In the vanishingly unlikely case that
+// this lazy build fails, the object is stored, the error is returned,
+// and the next insert into the shard retries the build.
+func (s *Engine) InsertObject(o Object) (int64, error) {
+	release, err := s.adm.admit(s.debtRatio())
 	if err != nil {
 		return 0, err
 	}
 	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var slot int
-	if e.ix == nil {
-		slot, err = e.c.Add(o)
-	} else {
-		slot, err = e.ix.Insert(o)
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := len(s.shards)
+	j := int(s.rr.Add(1)-1) % n
+	local, err := s.shards[j].InsertObject(o)
 	if err != nil {
 		return 0, err
 	}
-	id := e.nextID
-	e.nextID++
-	e.ids = append(e.ids, id)
-	e.lookup[id] = slot
-	e.epoch++
-	if e.ix != nil {
-		// Quantize the appended row before the searcher snapshot below;
-		// no-op unless quantization is enabled and trained.
-		e.c.store.SyncSQ8()
-		// The graph and object slice grew; pooled searchers sized to the
-		// old vertex count must not be reused.
-		e.resetSearchersLocked()
-		e.updateDebtLocked()
+	id := shard.Global(j, local, n)
+	if s.builtShards.Load() > 0 && ShardState(s.state[j].Load()) == ShardPending {
+		if err := s.buildShard(j, false); err != nil {
+			return id, fmt.Errorf("must: shard %d lazy build: %w", j, err)
+		}
 	}
 	return id, nil
 }
 
-// Delete tombstones an object by engine ID (§IX): excluded from all
-// future results, still routing until the next Rebuild. Requires a built
-// index. Returns ErrOverloaded when admission control sheds the write.
-func (e *Engine) Delete(id int64) error {
-	release, err := e.adm.admit(e.adm.debtRatio())
+// Delete tombstones the object with the given global ID (§IX): excluded
+// from all future results, still routing until the next Rebuild.
+// Requires a built index. Only the owning shard's write lock is taken.
+// Returns ErrOverloaded when admission control sheds the write.
+func (s *Engine) Delete(id int64) error {
+	release, err := s.adm.admit(s.debtRatio())
 	if err != nil {
 		return err
 	}
 	defer release()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ix == nil {
-		return ErrNotBuilt
-	}
-	slot, ok := e.lookup[id]
-	if !ok {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if id < 0 {
 		return fmt.Errorf("must: %w %d", ErrUnknownID, id)
 	}
-	if err := e.ix.Delete(slot); err != nil {
-		return err
+	j, local := shard.Split(id, len(s.shards))
+	err = s.shards[j].Delete(local)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrUnknownID):
+		return fmt.Errorf("must: %w %d", ErrUnknownID, id)
+	case errors.Is(err, ErrNotBuilt) && s.builtShards.Load() > 0:
+		// The owning shard is pending, hence empty: the ID cannot exist.
+		return fmt.Errorf("must: %w %d", ErrUnknownID, id)
 	}
-	e.epoch++
-	e.updateDebtLocked()
-	return nil
+	return err
 }
 
-// Len returns the number of live (non-tombstoned) objects.
-func (e *Engine) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := e.c.Len()
-	if e.ix != nil {
-		n -= e.ix.Deleted()
-	}
-	return n
-}
-
-// Deleted returns the number of tombstoned objects awaiting Rebuild.
-func (e *Engine) Deleted() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ix == nil {
-		return 0
-	}
-	return e.ix.Deleted()
-}
-
-// Object returns a copy of a stored object's vectors by modality name.
-// Tombstoned objects are unknown: once deleted, an ID stays invisible
-// here even though its row still routes until the next Rebuild.
-func (e *Engine) Object(id int64) (NamedVectors, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	slot, ok := e.lookup[id]
-	if !ok || (e.ix != nil && slot < len(e.ix.dead) && e.ix.dead[slot]) {
+// Object returns a copy of a stored (normalized) object's vectors by
+// modality name. Tombstoned objects are unknown: once deleted, an ID
+// stays invisible here even though its row still routes until the next
+// Rebuild.
+func (s *Engine) Object(id int64) (NamedVectors, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if id < 0 {
 		return nil, fmt.Errorf("must: %w %d", ErrUnknownID, id)
 	}
-	out := make(NamedVectors, len(e.schema))
-	for i, m := range e.schema {
-		out[m.Name] = vec.Clone(e.c.store.Modality(slot, i))
+	j, local := shard.Split(id, len(s.shards))
+	v, err := s.shards[j].Object(local)
+	if err != nil && errors.Is(err, ErrUnknownID) {
+		return nil, fmt.Errorf("must: %w %d", ErrUnknownID, id)
 	}
-	return out, nil
+	return v, err
 }
 
-// Weights returns the engine's current per-modality weights in schema
+// Weights returns a copy of the current per-modality weights in schema
 // order.
-func (e *Engine) Weights() Weights {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append(Weights(nil), e.weights...)
+func (s *Engine) Weights() Weights {
+	return s.shards[0].Weights()
 }
 
-// SetWeights replaces the engine's per-modality weights (schema order).
-// New searches use them immediately for scoring; the graph keeps routing
-// under the weights it was built with until the next Rebuild, which is
-// exactly the user-defined-weights setting of §VIII-F and loses little
-// recall (Tab. IX). Rebuild to re-optimize routing for the new weights.
-func (e *Engine) SetWeights(w Weights) error {
-	if len(w) != len(e.schema) {
-		return fmt.Errorf("must: %d weights for %d modalities", len(w), len(e.schema))
+// SetWeights replaces the per-modality weights (schema order) on every
+// shard. New searches use them immediately for scoring; the graph keeps
+// routing under the weights it was built with until the next Rebuild,
+// which is exactly the user-defined-weights setting of §VIII-F and loses
+// little recall (Tab. IX). Rebuild to re-optimize routing for the new
+// weights.
+//
+// The update is per-shard atomic but not engine-wide atomic: a search
+// overlapping the call may score different shards under old and new
+// weights for one request. Every shard's epoch bumps, so caches
+// invalidate regardless.
+func (s *Engine) SetWeights(w Weights) error {
+	if len(w) != len(s.schema) {
+		return fmt.Errorf("must: %d weights for %d modalities", len(w), len(s.schema))
 	}
 	for i, x := range w {
 		if err := checkFinite([]float32{x}); err != nil {
 			return fmt.Errorf("must: weight %d: %w", i, err)
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.weights = append(Weights(nil), w...)
-	e.epoch++
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range s.shards {
+		e.SetWeights(w)
+	}
 	return nil
 }
 
-// LearnWeights fits modality weights from training pairs (§VI): the true
-// answer of queries[i] is the object with engine ID positives[i]. The
-// learned weights are stored on the engine and returned. Training runs on
-// a snapshot, off-lock, so it can overlap serving.
-func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg WeightConfig) (Weights, error) {
-	if len(queries) != len(positives) {
-		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
-	}
-	posQueries := make([]Object, len(queries))
-	for i, q := range queries {
-		o := make(Object, len(e.schema))
-		for name, v := range q {
-			j, ok := e.byName[name]
-			if !ok {
-				return nil, fmt.Errorf("must: training query %d: unknown modality %q", i, name)
-			}
-			o[j] = v
-		}
-		posQueries[i] = o
-	}
-	e.mu.RLock()
-	// The snapshot pins the store length: training reads rows through
-	// zero-copy views off-lock, while concurrent Inserts only ever write
-	// rows past the pinned length.
-	snap := &Collection{dims: e.c.dims}
-	if e.c.store != nil {
-		snap.store = e.c.store.Snapshot()
-	}
-	internal := make([]int, len(positives))
-	for i, id := range positives {
-		slot, ok := e.lookup[id]
-		if !ok {
-			e.mu.RUnlock()
-			return nil, fmt.Errorf("must: positive %d: %w %d", i, ErrUnknownID, id)
-		}
-		internal[i] = slot
-	}
-	e.mu.RUnlock()
-	w, err := LearnWeights(snap, posQueries, internal, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.weights = append(Weights(nil), w...)
-	e.epoch++
-	e.mu.Unlock()
-	return w, nil
-}
-
 // EnableQuantization attaches an SQ8 scalar-quantized shadow store (1
-// byte/dim, per-modality scales — see vec.SQ8Store) and routes all
-// subsequent searches over it, with an exact float32 re-rank of the top
-// rerankK candidates per query (0 means 4·k, clamped to the beam width).
-// Memory cost is ~¼ of the float32 corpus on top of it; the scan itself
-// touches 4× less memory, which is the point.
+// byte/dim, per-modality scales — see vec.SQ8Store) to every shard and
+// routes all subsequent searches over it, with an exact float32 re-rank
+// of the top rerankK candidates per shard and query (0 means 4·k,
+// clamped to the beam width). Memory cost is ~¼ of the float32 corpus on
+// top of it; the scan itself touches 4× less memory, which is the point.
 //
 // Called before Build, the quantizer trains inside Build (after the graph
 // seals, over the complete corpus). Called on a built engine, it trains
@@ -352,487 +501,613 @@ func (e *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg Wei
 // trained on a partial corpus would be garbage — and rows inserted after
 // training use the trained scales, clamping out-of-range values (the
 // exact re-rank absorbs the extra error; Rebuild retrains from scratch).
-func (e *Engine) EnableQuantization(rerankK int) error {
+func (s *Engine) EnableQuantization(rerankK int) error {
 	if rerankK < 0 {
 		return fmt.Errorf("must: negative rerank depth %d", rerankK)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rerankK = rerankK
-	if e.quantize {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range s.shards {
+		e.EnableQuantization(rerankK)
+	}
+	return nil
+}
+
+// Quantized reports whether searches route over the SQ8 shadow stores.
+func (s *Engine) Quantized() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range s.shards {
+		if !e.Quantized() {
+			return false
+		}
+	}
+	return true
+}
+
+// LearnWeights fits modality weights from training pairs (§VI): the true
+// answer of queries[i] is the object with ID positives[i]. The pool T is
+// the set of referenced positive objects, gathered into a temporary
+// collection, so training runs off every engine lock and can overlap
+// serving. The learned weights are applied to every shard and returned.
+func (s *Engine) LearnWeights(queries []NamedVectors, positives []int64, cfg WeightConfig) (Weights, error) {
+	if len(queries) != len(positives) {
+		return nil, fmt.Errorf("must: %d queries but %d positives", len(queries), len(positives))
+	}
+	posQueries := make([]Object, len(queries))
+	for i, q := range queries {
+		o := make(Object, len(s.schema))
+		for name, v := range q {
+			j, ok := s.byName[name]
+			if !ok {
+				return nil, fmt.Errorf("must: training query %d: unknown modality %q", i, name)
+			}
+			o[j] = v
+		}
+		posQueries[i] = o
+	}
+	// Gather the referenced positives into a temporary pool collection.
+	// LearnWeights only ever samples from the referenced objects (the
+	// paper's T), so this loses nothing relative to handing it the full
+	// corpus.
+	pool := NewCollection(s.schema.Dims()...)
+	pool.names = s.schema.Names()
+	slotOf := make(map[int64]int, len(positives))
+	internal := make([]int, len(positives))
+	for i, id := range positives {
+		slot, ok := slotOf[id]
+		if !ok {
+			nv, err := s.Object(id)
+			if err != nil {
+				return nil, fmt.Errorf("must: positive %d: %w", i, err)
+			}
+			o, err := s.positional(nv)
+			if err != nil {
+				return nil, fmt.Errorf("must: positive %d: %w", i, err)
+			}
+			slot, err = pool.Add(o)
+			if err != nil {
+				return nil, fmt.Errorf("must: positive %d: %w", i, err)
+			}
+			slotOf[id] = slot
+		}
+		internal[i] = slot
+	}
+	w, err := LearnWeights(pool, posQueries, internal, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.SetWeights(w); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// buildConcurrency picks how many shards build at once and how many
+// workers each shard's graph construction gets, so S parallel builds do
+// not oversubscribe the machine: across × per ≤ GOMAXPROCS (with a floor
+// of 1 each).
+func buildConcurrency(shards int) (across, per int) {
+	cores := runtime.GOMAXPROCS(0)
+	across = shards
+	if across > cores {
+		across = cores
+	}
+	if across < 1 {
+		across = 1
+	}
+	per = cores / across
+	if per < 1 {
+		per = 1
+	}
+	return across, per
+}
+
+// buildShard builds (or, when rebuild is set, rebuilds) one shard's
+// graph, serialized per shard and tracked in state[j]. Empty shards are
+// skipped: Build leaves them pending for the lazy path, and Rebuild skips
+// all-tombstoned shards because compaction would leave them empty.
+func (s *Engine) buildShard(j int, rebuild bool) error {
+	s.shardMu[j].Lock()
+	defer s.shardMu[j].Unlock()
+	e := s.shards[j]
+	switch ShardState(s.state[j].Load()) {
+	case ShardBuilt:
+		if !rebuild || e.Len() == 0 {
+			return nil
+		}
+		s.state[j].Store(uint32(ShardBuilding))
+		err := e.Rebuild()
+		s.state[j].Store(uint32(ShardBuilt))
+		if err == nil {
+			// The rebuild replaced the graph the failures were blamed on:
+			// re-admit the shard (quarantine's recovery path).
+			s.health[j].Reset()
+		}
+		return err
+	case ShardPending:
+		if e.Len() == 0 {
+			return nil
+		}
+		s.state[j].Store(uint32(ShardBuilding))
+		if err := e.Build(); err != nil {
+			s.state[j].Store(uint32(ShardPending))
+			return err
+		}
+		s.state[j].Store(uint32(ShardBuilt))
+		s.builtShards.Add(1)
+		s.health[j].Reset()
 		return nil
 	}
-	e.quantize = true
-	st := e.c.flatStore()
-	if st != nil {
-		st.EnableSQ8()
-		if e.ix != nil {
-			st.SyncSQ8()
-			e.epoch++
-			e.resetSearchersLocked()
-		}
-	}
 	return nil
 }
 
-// Quantized reports whether searches route over the SQ8 shadow store.
-func (e *Engine) Quantized() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.quantize
-}
-
-// Build constructs the fused index over everything inserted so far. It
-// must be called once before Search; after that, use Rebuild to compact
-// and re-optimize. Build holds the write lock for the duration.
-func (e *Engine) Build() error {
-	e.rebuildMu.Lock()
-	defer e.rebuildMu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ix != nil {
+// Build constructs every non-empty shard's fused index in parallel on a
+// bounded worker pool. It must be called once before Search; after that,
+// use Rebuild to compact and re-optimize. Build blocks other operations
+// for the duration; empty shards are left pending and built lazily by
+// the first Insert routed to them.
+func (s *Engine) Build() error {
+	s.buildMu.Lock()
+	defer s.buildMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.builtShards.Load() > 0 {
 		return fmt.Errorf("must: engine already built; use Rebuild")
 	}
-	if e.quantize {
-		// The store may not have existed when EnableQuantization ran (it
-		// is created lazily on first insert); attach the shadow now so the
-		// build trains the quantizer after sealing the graph.
-		if st := e.c.flatStore(); st != nil {
-			st.EnableSQ8()
+	nonEmpty := 0
+	for _, e := range s.shards {
+		if e.Len() > 0 {
+			nonEmpty++
 		}
 	}
-	ix, err := Build(e.c, e.weights, e.build)
-	if err != nil {
-		return err
+	if nonEmpty == 0 {
+		return fmt.Errorf("must: cannot index an empty collection")
 	}
-	e.ix = ix
-	e.epoch++
-	e.resetSearchersLocked()
-	e.updateDebtLocked()
-	return nil
+	across, per := buildConcurrency(nonEmpty)
+	if across > 1 {
+		// Give each concurrent shard build an equal slice of the cores
+		// instead of letting every build claim all of them.
+		prev := graph.SetBuildWorkers(per)
+		defer graph.SetBuildWorkers(prev)
+	}
+	return shard.Do(len(s.shards), across, func(j int) error {
+		return s.buildShard(j, false)
+	})
 }
 
-// Rebuild reconstructs the graph from scratch: tombstoned objects are
-// physically dropped (the paper's periodic reconstruction, §IX), the
-// current engine weights become the build weights, and the new graph is
-// swapped in atomically. Construction happens on a snapshot without
-// blocking concurrent Search/Insert/Delete; inserts and deletes that land
-// during construction are replayed before the swap. Engine IDs are
-// preserved.
-func (e *Engine) Rebuild() error {
-	e.rebuildMu.Lock()
-	defer e.rebuildMu.Unlock()
-
-	e.mu.RLock()
-	if e.ix == nil {
-		e.mu.RUnlock()
+// Rebuild reconstructs every shard's graph in parallel: per shard,
+// tombstones are physically dropped, current weights become build
+// weights, and the new graph swaps in atomically — the paper's periodic
+// reconstruction (§IX), shard by shard. Construction happens on a
+// snapshot, so searches, inserts and deletes keep running: each shard
+// serves from its old graph until its own swap, and writes that land
+// during construction are replayed before it. Shards whose objects are
+// all tombstoned are skipped (compaction would empty them); their
+// tombstones are dropped on a later rebuild once the shard has live
+// objects again. IDs are preserved.
+func (s *Engine) Rebuild() error {
+	s.buildMu.Lock()
+	defer s.buildMu.Unlock()
+	if s.builtShards.Load() == 0 {
 		return ErrNotBuilt
 	}
-	snapLen := e.c.Len()
-	// Copy the tombstone bitset and ID prefix under the lock (Delete may
-	// flip entries the moment it is released); the store itself only needs
-	// a length-pinned snapshot — rows are immutable once appended, so the
-	// O(n·dim) compaction copy below can run off-lock without blocking
-	// concurrent Search/Insert/Delete. Deletes that land after this
-	// snapshot are replayed from the live bitset before the swap.
-	dead := append([]bool(nil), e.ix.dead...)
-	srcStore := e.c.store.Snapshot()
-	idsSnap := append([]int64(nil), e.ids[:snapLen]...)
-	w := append(Weights(nil), e.weights...)
-	bo := e.build
-	quant := e.quantize
-	e.mu.RUnlock()
-
-	alive := 0
-	for i := 0; i < snapLen; i++ {
-		if i < len(dead) && dead[i] {
-			continue
-		}
-		alive++
+	across, per := buildConcurrency(len(s.shards))
+	if across > 1 {
+		prev := graph.SetBuildWorkers(per)
+		defer graph.SetBuildWorkers(prev)
 	}
-	if alive == 0 {
-		return fmt.Errorf("must: rebuild would leave the engine empty (all %d objects deleted)", snapLen)
-	}
-	// Compact the live rows into a fresh store — the one real copy a
-	// rebuild makes; the old store is dropped at the swap. Rows are
-	// copied verbatim (already normalized), preserving bit-exact vectors.
-	newC := &Collection{dims: append([]int(nil), e.c.dims...), names: e.schema.Names(),
-		store: vec.NewFlatStore(e.c.dims, alive)}
-	if quant {
-		// Fresh store, fresh shadow: the rebuild's Build call retrains the
-		// quantizer over the compacted corpus, shedding any drift from
-		// clamped post-training inserts.
-		newC.store.EnableSQ8()
-	}
-	aliveIDs := make([]int64, 0, alive)
-	for i := 0; i < snapLen; i++ {
-		if i < len(dead) && dead[i] {
-			continue
-		}
-		copy(newC.store.AppendRow(), srcStore.Row(i))
-		aliveIDs = append(aliveIDs, idsSnap[i])
-	}
-
-	newIx, err := Build(newC, w, bo)
-	if err != nil {
-		return err
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Replay inserts that landed while the graph was building.
-	for i := snapLen; i < e.c.Len(); i++ {
-		if _, err := newIx.Insert(Object(e.c.multi(i))); err != nil {
-			return fmt.Errorf("must: rebuild replay of object %d: %w", e.ids[i], err)
-		}
-		aliveIDs = append(aliveIDs, e.ids[i])
-	}
-	newLookup := make(map[int64]int, len(aliveIDs))
-	for slot, id := range aliveIDs {
-		newLookup[id] = slot
-	}
-	// Replay deletes that landed while the graph was building (including
-	// deletes of just-replayed inserts).
-	for i, id := range e.ids {
-		if i < len(e.ix.dead) && e.ix.dead[i] {
-			if slot, ok := newLookup[id]; ok {
-				if err := newIx.Delete(slot); err != nil {
-					return fmt.Errorf("must: rebuild replay of delete %d: %w", id, err)
-				}
-			}
-		}
-	}
-	e.c = newC
-	e.ix = newIx
-	e.ids = aliveIDs
-	e.lookup = newLookup
-	// Quantize any rows replayed after the off-lock build trained the
-	// shadow (no-op when quantization is off).
-	e.c.store.SyncSQ8()
-	e.epoch++
-	e.resetSearchersLocked()
-	e.updateDebtLocked()
-	return nil
-}
-
-// SetAdmission installs (or, with the zero value, clears) write-path
-// admission control: Insert/InsertObject/Delete past the in-flight
-// budget or issued while maintenance debt exceeds the watermark fail
-// fast with ErrOverloaded. Searches are never gated.
-func (e *Engine) SetAdmission(o AdmissionOptions) error {
-	return e.adm.configure(o)
-}
-
-// WritesShed returns how many writes admission control has refused.
-func (e *Engine) WritesShed() uint64 { return e.adm.writesShed() }
-
-// updateDebtLocked refreshes the admission gate's cached maintenance
-// debt — max(overlay ratio, tombstone ratio) — so the write-path admit
-// check stays a single atomic load. Callers must hold the write lock.
-func (e *Engine) updateDebtLocked() {
-	if e.ix == nil {
-		e.adm.setDebt(0)
-		return
-	}
-	n := e.ix.f.Graph.NumVertices()
-	if n == 0 {
-		e.adm.setDebt(0)
-		return
-	}
-	debt := float64(e.ix.f.Graph.OverlayVertices()) / float64(n)
-	if t := float64(e.ix.deadCount) / float64(n); t > debt {
-		debt = t
-	}
-	e.adm.setDebt(debt)
-}
-
-// resetSearchersLocked replaces the searcher pool after any change to the
-// graph topology or object slice. Callers must hold the write lock.
-func (e *Engine) resetSearchersLocked() {
-	f := e.ix.f
-	// Snapshot the shared store at the current length, under the write
-	// lock: pooled searchers must not observe rows appended by later
-	// Inserts (their visit buffers are sized to the vertex count at pool
-	// creation; the pool is replaced after every mutation).
-	store := f.Store.Snapshot()
-	e.searchers = &sync.Pool{New: func() any {
-		return search.NewFlat(f.Graph, store, f.Weights)
-	}}
-}
-
-// convertLocked validates a query against the schema and produces the
-// positional multi-vector plus the effective per-modality weights.
-// Callers must hold at least the read lock.
-func (e *Engine) convertLocked(q Query) (vec.Multi, Weights, error) {
-	pos := make(Object, len(e.schema))
-	for name, v := range q.Vectors {
-		i, ok := e.byName[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("must: query names unknown modality %q (schema has %v)", name, e.schema.Names())
-		}
-		pos[i] = v
-	}
-	mv, err := e.c.query(pos)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := append(Weights(nil), e.weights...)
-	for name, x := range q.Weights {
-		i, ok := e.byName[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("must: weight override names unknown modality %q (schema has %v)", name, e.schema.Names())
-		}
-		if err := checkFinite([]float32{x}); err != nil {
-			return nil, nil, fmt.Errorf("must: weight override for %q: %w", name, err)
-		}
-		w[i] = x
-	}
-	active := false
-	for i := range w {
-		if pos[i] == nil {
-			// Missing query modality: force ω_i = 0 (§VII-B) so it
-			// neither scores nor steers routing.
-			w[i] = 0
-		}
-		if w[i] != 0 {
-			active = true
-		}
-	}
-	if !active {
-		return nil, nil, fmt.Errorf("must: query has no active modalities (every modality is missing or zero-weighted)")
-	}
-	return mv, w, nil
-}
-
-// searchOneLocked answers one query on an already-borrowed searcher.
-// Callers must hold at least the read lock and must have checked that
-// the index is built. The returned Response owns its matches: every
-// result row is cloned out of the searcher's reusable buffers before
-// returning, so the Response stays valid after the searcher is reused
-// or pooled.
-func (e *Engine) searchOneLocked(ctx context.Context, s *search.Searcher, q Query) (*Response, error) {
-	start := time.Now()
-	k := q.K
-	if k == 0 {
-		k = 10
-	}
-	l := q.L
-	if l == 0 {
-		l = 4 * k
-		if l < 100 {
-			l = 100
-		}
-	}
-	mv, w, err := e.convertLocked(q)
-	if err != nil {
-		return nil, err
-	}
-	var filter func(int) bool
-	if q.Filter != nil {
-		ids := e.ids
-		filter = func(slot int) bool { return q.Filter(ids[slot]) }
-	}
-	res, st, err := s.SearchParams(mv, search.Params{
-		K:          k,
-		L:          l,
-		Weights:    vec.Weights(w),
-		Filter:     filter,
-		Tombstones: e.ix.dead,
-		Patience:   q.Patience,
-		Optimize:   !q.DisableOptimization,
-		Breakdown:  true,
-		Quantized:  e.quantize,
-		RerankK:    e.rerankK,
-		Ctx:        ctx,
+	return shard.Do(len(s.shards), across, func(j int) error {
+		return s.buildShard(j, true)
 	})
-	if err != nil {
-		return nil, err
+}
+
+// RebuildShard rebuilds a single shard by index — the incremental
+// maintenance hook: callers can walk shards on their own schedule (e.g.
+// by tombstone ratio) and compact one at a time, bounding rebuild work
+// and transient memory to one shard's worth.
+func (s *Engine) RebuildShard(j int) error {
+	if j < 0 || j >= len(s.shards) {
+		return fmt.Errorf("must: shard %d out of range [0,%d)", j, len(s.shards))
 	}
-	// res aliases the searcher's reusable result buffer, so it must be
-	// converted to ScoredMatches before the searcher serves another query
-	// (a later search would overwrite it).
-	matches := make([]ScoredMatch, len(res))
-	for i, r := range res {
-		by := make(map[string]float32, len(e.schema))
-		for j, m := range e.schema {
-			if j < len(r.PerModality) {
-				by[m.Name] = r.PerModality[j]
-			}
-		}
-		matches[i] = ScoredMatch{ID: e.ids[r.ID], Similarity: r.IP, ByModality: by}
+	if s.builtShards.Load() == 0 {
+		return ErrNotBuilt
 	}
-	return &Response{
-		Matches: matches,
-		Stats:   SearchStats{FullEvals: st.FullEvals, PartialSkips: st.PartialSkips, Hops: st.Hops},
-		Latency: time.Since(start),
-	}, nil
+	return s.buildShard(j, true)
 }
 
 // Search answers one typed query. It is safe to call from any number of
 // goroutines; ctx cancels or time-bounds the routing loop. Results carry
-// per-modality similarity breakdowns and routing statistics.
-func (e *Engine) Search(ctx context.Context, q Query) (*Response, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ix == nil {
-		return nil, ErrNotBuilt
+// per-modality similarity breakdowns and routing statistics. With S>1 the
+// query fans out across shards and the per-shard top-k lists merge (see
+// SearchEach); a single shard is searched on the caller's goroutine.
+func (s *Engine) Search(ctx context.Context, q Query) (*Response, error) {
+	if len(s.shards) == 1 {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.shards[0].Search(ctx, q)
 	}
-	pool := e.searchers
-	s := pool.Get().(*search.Searcher)
-	resp, err := e.searchOneLocked(ctx, s, q)
-	pool.Put(s)
-	return resp, err
+	out, errs := s.SearchEach(ctx, []Query{q}, 0)
+	if len(errs) > 0 && errs[0] != nil {
+		return nil, errs[0]
+	}
+	return out[0], nil
 }
 
 // SearchEach answers many queries concurrently and reports a result or
-// an error per query: out[i] and errs[i] describe queries[i], exactly
-// one of them non-nil. Unlike SearchBatch, one failed or cancelled
-// query never poisons the rest of the batch — every other query still
-// runs to completion and keeps its result.
+// an error per query: out[i] and errs[i] describe queries[i], exactly one
+// of them non-nil. One failed or cancelled query never poisons the rest
+// of the batch. workers ≤ 0 uses one worker per query up to GOMAXPROCS.
 //
 // This is the serving-tier entry point: each worker borrows one pooled
-// searcher for its whole stride (amortizing pool traffic across the
-// batch), the read lock is taken once for the batch, and every response
-// is cloned out of searcher-owned buffers before return. workers ≤ 0
-// uses one worker per query up to GOMAXPROCS.
-func (e *Engine) SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error) {
+// searcher for its whole stride, the read lock is taken once per shard
+// for the batch, and every response is cloned out of searcher-owned
+// buffers before return. A single-shard engine runs its one shard on the
+// caller's goroutine, and its local IDs are the global IDs.
+//
+// With S>1 every built shard runs the whole batch, then each query's
+// per-shard top-k lists are merged with a k-way heap. Query.K and
+// Query.L apply per shard, so a sharded search examines up to S·L
+// candidates — recall at equal L is never lower than a single shard's;
+// lower L per shard buys the latency back (see the Sharding section of
+// the README). Query.Filter receives global IDs. Merged Stats are summed
+// across shards and Latency is the slowest shard's (the critical path
+// of the fan-out).
+//
+// Fan-out degrades instead of failing: each shard runs in its own
+// worker with panic recovery, and the collector stops waiting when ctx
+// expires. A query whose shards partly succeeded returns a Response
+// with Partial set and the failures listed in ShardErrors — one sick or
+// hanging shard costs recall, not availability. Only a query that every
+// shard failed gets an error (so validation errors, which fail on all
+// shards identically, surface exactly as they would on one shard).
+// Abandoned shard workers observe ctx themselves and exit shortly after.
+func (s *Engine) SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = defaultWorkers(len(queries))
-	}
-	if workers > len(queries) {
-		workers = len(queries)
+	if len(s.shards) == 1 {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.shards[0].SearchEach(ctx, queries, workers)
 	}
 	out := make([]*Response, len(queries))
 	errs := make([]error, len(queries))
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ix == nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.builtShards.Load() == 0 {
 		for i := range errs {
 			errs[i] = ErrNotBuilt
 		}
 		return out, errs
 	}
-	pool := e.searchers
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			s := pool.Get().(*search.Searcher)
-			for i := wk; i < len(queries); i += workers {
-				out[i], errs[i] = e.searchOneRecovered(ctx, &s, pool, queries[i])
-			}
-			if s != nil {
-				pool.Put(s)
-			}
-		}(wk)
+	n := len(s.shards)
+	now := time.Now()
+	var active, quarantined []int
+	for j := range s.shards {
+		if ShardState(s.state[j].Load()) == ShardPending {
+			continue
+		}
+		// The breaker admits healthy/degraded shards always and a
+		// quarantined shard once per probe interval (half-open probe);
+		// otherwise the shard is skipped and reported via ShardErrors.
+		if !s.health[j].Allow(now) {
+			quarantined = append(quarantined, j)
+			continue
+		}
+		active = append(active, j)
 	}
-	wg.Wait()
+	if len(active) == 0 {
+		for i := range errs {
+			errs[i] = ErrAllQuarantined
+		}
+		return out, errs
+	}
+	perShard := workers
+	if perShard > 0 {
+		perShard /= len(active)
+		if perShard < 1 {
+			perShard = 1
+		}
+	}
+	type shardOut struct {
+		resps    []*Response
+		errs     []error
+		panicked bool
+	}
+	anyPanicErr := func(es []error) bool {
+		for _, e := range es {
+			if errors.Is(e, errSearchPanicked) {
+				return true
+			}
+		}
+		return false
+	}
+	results := make([]shardOut, len(active))
+	done := make([]chan struct{}, len(active))
+	for ai := range active {
+		done[ai] = make(chan struct{})
+	}
+	for ai := range active {
+		go func(ai int) {
+			defer close(done[ai])
+			j := active[ai]
+			defer func() {
+				if r := recover(); r != nil {
+					perr := fmt.Errorf("must: shard %d panicked: %v", j, r)
+					es := make([]error, len(queries))
+					for i := range es {
+						es[i] = perr
+					}
+					results[ai] = shardOut{errs: es, panicked: true}
+				}
+			}()
+			qs := queries
+			// Rewrite filters into the shard's local-ID domain; the query
+			// slice is copied only when some query actually has a filter.
+			for i := range queries {
+				if queries[i].Filter != nil {
+					qs = make([]Query, len(queries))
+					copy(qs, queries)
+					for i := range qs {
+						if f := qs[i].Filter; f != nil {
+							qs[i].Filter = func(local int64) bool {
+								return f(shard.Global(j, local, n))
+							}
+						}
+					}
+					break
+				}
+			}
+			r, e := s.shards[j].SearchEach(ctx, qs, perShard)
+			results[ai] = shardOut{resps: r, errs: e}
+		}(ai)
+	}
+	// Collect until the deadline: a shard that has not finished when ctx
+	// expires is reported as failed and its worker abandoned (it bails
+	// out on its own — per-query searches check ctx — and only touches
+	// its own results slot, which no one reads).
+	finished := make([]bool, len(active))
+	for ai := range active {
+		select {
+		case <-done[ai]:
+			finished[ai] = true
+		case <-ctx.Done():
+			select {
+			case <-done[ai]:
+				finished[ai] = true
+			default:
+			}
+		}
+	}
+	// Feed the health breakers. A failure must be shard-attributable, or
+	// one misbehaving client would trip every breaker at once and turn
+	// graceful degradation into a cluster-wide outage:
+	//
+	//   - A panic (in the shard worker or recovered inside the shard's
+	//     own search path) counts against a shard only when a minority of
+	//     the active shards panicked in this batch. A panic on a strict
+	//     majority — e.g. a Query.Filter that panics on every ID — is
+	//     query-correlated: it says nothing about any one shard, so it is
+	//     treated like a validation error (which also hits every shard
+	//     identically) rather than as S simultaneous shard faults.
+	//   - A shard unfinished at ctx expiry counts as a failure only when
+	//     the deadline was exceeded AND a strict majority of shards did
+	//     finish — a true straggler. Caller cancellation, or a deadline
+	//     that most shards missed together (the whole fan-out was slow
+	//     under load), is neutral: neither failure nor success.
+	//
+	// A completed, non-panicking batch is a success; non-panic per-query
+	// errors count as successes too. A failed half-open probe
+	// re-quarantines; a neutral outcome leaves the breaker probing, and
+	// Allow re-admits a fresh probe after another probe interval.
+	nFinished, nPanicked := 0, 0
+	panicked := make([]bool, len(active))
+	for ai := range active {
+		if !finished[ai] {
+			continue
+		}
+		nFinished++
+		if results[ai].panicked || anyPanicErr(results[ai].errs) {
+			panicked[ai] = true
+			nPanicked++
+		}
+	}
+	queryCorrelatedPanic := nPanicked*2 > len(active)
+	straggler := errors.Is(ctx.Err(), context.DeadlineExceeded) && nFinished*2 > len(active)
+	feedAt := time.Now()
+	for ai, j := range active {
+		switch {
+		case !finished[ai]:
+			if straggler {
+				s.health[j].Failure(feedAt)
+			}
+		case panicked[ai] && !queryCorrelatedPanic:
+			s.health[j].Failure(feedAt)
+		default:
+			s.health[j].Success()
+		}
+	}
+	for i := range queries {
+		k := queries[i].K
+		if k == 0 {
+			k = 10
+		}
+		lists := make([][]ScoredMatch, 0, len(active))
+		var stats SearchStats
+		var latency time.Duration
+		var qerr error
+		var shardErrs []ShardError
+		for _, j := range quarantined {
+			shardErrs = append(shardErrs, ShardError{Shard: j, Err: "shard quarantined"})
+		}
+		for ai, j := range active {
+			if !finished[ai] {
+				shardErrs = append(shardErrs, ShardError{Shard: j, Err: ctx.Err().Error()})
+				continue
+			}
+			if e := results[ai].errs[i]; e != nil {
+				if qerr == nil {
+					qerr = e
+				}
+				shardErrs = append(shardErrs, ShardError{Shard: j, Err: e.Error()})
+				continue
+			}
+			resp := results[ai].resps[i]
+			// Matches are cloned out of searcher buffers by the shard, so
+			// rewriting IDs in place is safe.
+			for mi := range resp.Matches {
+				resp.Matches[mi].ID = shard.Global(j, resp.Matches[mi].ID, n)
+			}
+			lists = append(lists, resp.Matches)
+			stats.FullEvals += resp.Stats.FullEvals
+			stats.PartialSkips += resp.Stats.PartialSkips
+			stats.Hops += resp.Stats.Hops
+			if resp.Latency > latency {
+				latency = resp.Latency
+			}
+		}
+		if len(lists) == 0 {
+			// Every shard failed this query: surface the first concrete
+			// error (preserving errors.Is matching for validation failures,
+			// ErrNotBuilt, ...), or the deadline if no shard got that far.
+			if qerr == nil {
+				qerr = ctx.Err()
+			}
+			errs[i] = qerr
+			continue
+		}
+		merged := shard.MergeTopK(lists, k, func(a, b ScoredMatch) bool {
+			return a.Similarity > b.Similarity
+		})
+		resp := &Response{Matches: merged, Stats: stats, Latency: latency}
+		if len(shardErrs) > 0 {
+			resp.Partial = true
+			resp.ShardErrors = shardErrs
+		}
+		out[i] = resp
+	}
 	return out, errs
 }
 
-// errSearchPanicked marks errors produced by recovering a search
-// panic. The sharded fan-out uses it to tell shard sickness (panics
-// feed the health breaker) from ordinary per-query errors (validation
-// failures, which say nothing about shard health).
-var errSearchPanicked = errors.New("must: search panicked")
-
-// searchOneRecovered runs one query, converting a panic (e.g. from a
-// user-supplied Query.Filter) into that query's error instead of
-// killing the process. The panicked searcher's internal state is
-// suspect, so it is dropped on the floor and the worker continues with
-// a fresh one from the pool; *sp is nil transiently while swapping.
-func (e *Engine) searchOneRecovered(ctx context.Context, sp **search.Searcher, pool *sync.Pool, q Query) (resp *Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("%w: %v", errSearchPanicked, r)
-			*sp = pool.Get().(*search.Searcher)
-		}
-	}()
-	return e.searchOneLocked(ctx, *sp, q)
-}
-
 // ExactSearch answers one typed query by exhaustive scan (the paper's
-// MUST--): exact results for ground truth or small corpora. Unlike
-// Search it works before Build; tombstones and Query.Filter are
-// honored, Patience/L/DisableOptimization are ignored.
-func (e *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
+// MUST--): exact results for ground truth or small corpora, merged
+// exactly across shards. Unlike Search it works before Build; tombstones
+// and Query.Filter are honored, Patience/L/DisableOptimization are
+// ignored.
+func (s *Engine) ExactSearch(ctx context.Context, q Query) (*Response, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := len(s.shards)
+	if n == 1 {
+		return s.shards[0].ExactSearch(ctx, q)
+	}
 	start := time.Now()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("must: %w", err)
+	resps := make([]*Response, n)
+	errs := make([]error, n)
+	_ = shard.Do(n, 0, func(j int) error {
+		sq := q
+		if f := q.Filter; f != nil {
+			sq.Filter = func(local int64) bool {
+				return f(shard.Global(j, local, n))
+			}
+		}
+		resps[j], errs[j] = s.shards[j].ExactSearch(ctx, sq)
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	k := q.K
 	if k == 0 {
 		k = 10
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	mv, w, err := e.convertLocked(q)
-	if err != nil {
-		return nil, err
-	}
-	var dead []bool
-	if e.ix != nil {
-		dead = e.ix.dead
-	}
-	ids := e.ids
-	// evals counts the objects actually scored; TopKFiltered calls keep
-	// sequentially, so a plain counter is safe.
-	evals := 0
-	keep := func(slot int) bool {
-		if slot < len(dead) && dead[slot] {
-			return false
+	lists := make([][]ScoredMatch, n)
+	var stats SearchStats
+	for j, resp := range resps {
+		for mi := range resp.Matches {
+			resp.Matches[mi].ID = shard.Global(j, resp.Matches[mi].ID, n)
 		}
-		if q.Filter != nil && !q.Filter(ids[slot]) {
-			return false
-		}
-		evals++
-		return true
+		lists[j] = resp.Matches
+		stats.FullEvals += resp.Stats.FullEvals
 	}
-	bf := &index.BruteForce{Store: e.c.flatStore(), Weights: vec.Weights(w)}
-	res := bf.TopKFiltered(mv, k, keep)
-	matches := make([]ScoredMatch, len(res))
-	for i, r := range res {
-		per := search.Breakdown(vec.Weights(w), mv, e.c.multi(r.ID))
-		by := make(map[string]float32, len(e.schema))
-		for j, m := range e.schema {
-			by[m.Name] = per[j]
-		}
-		matches[i] = ScoredMatch{ID: ids[r.ID], Similarity: r.IP, ByModality: by}
-	}
-	return &Response{
-		Matches: matches,
-		Stats:   SearchStats{FullEvals: evals},
-		Latency: time.Since(start),
-	}, nil
+	merged := shard.MergeTopK(lists, k, func(a, b ScoredMatch) bool {
+		return a.Similarity > b.Similarity
+	})
+	return &Response{Matches: merged, Stats: stats, Latency: time.Since(start)}, nil
 }
 
-// SearchBatch answers many queries concurrently and returns responses
-// aligned with the queries slice. workers ≤ 0 uses one worker per query
-// up to GOMAXPROCS. Any query error fails the whole call with the
-// first (lowest-index) error; use SearchEach when partial results and
-// per-query errors are wanted instead.
-func (e *Engine) SearchBatch(ctx context.Context, queries []Query, workers int) ([]*Response, error) {
-	out, errs := e.SearchEach(ctx, queries, workers)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("must: batch query %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// Stats reports statistics of the engine's current index.
-func (e *Engine) Stats() (Stats, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ix == nil {
+// Stats reports index statistics aggregated across built shards: counts
+// and byte sizes sum, AvgDegree re-derives from the summed totals, and
+// BuildTime is the slowest shard's (the wall-clock critical path of the
+// parallel build). It returns ErrNotBuilt until at least one shard is
+// built.
+func (s *Engine) Stats() (Stats, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.builtShards.Load() == 0 {
 		return Stats{}, ErrNotBuilt
 	}
-	return e.ix.Stats(), nil
+	var agg Stats
+	tombstones := 0
+	for j := range s.shards {
+		if ShardState(s.state[j].Load()) == ShardPending {
+			continue
+		}
+		st, err := s.shards[j].Stats()
+		if err != nil {
+			continue
+		}
+		agg.Objects += st.Objects
+		agg.Edges += st.Edges
+		agg.SizeBytes += st.SizeBytes
+		agg.CorpusBytes += st.CorpusBytes
+		agg.RawVectorBytes += st.RawVectorBytes
+		agg.FusedBytes += st.FusedBytes
+		agg.QuantizedBytes += st.QuantizedBytes
+		agg.OverlayVertices += st.OverlayVertices
+		tombstones += s.shards[j].Deleted()
+		if agg.KernelVariant == "" {
+			agg.KernelVariant = st.KernelVariant
+		}
+		if st.BuildTime > agg.BuildTime {
+			agg.BuildTime = st.BuildTime
+		}
+		if agg.Algorithm == "" {
+			agg.Algorithm = st.Algorithm
+		}
+	}
+	if agg.Objects > 0 {
+		agg.AvgDegree = float64(agg.Edges) / float64(agg.Objects)
+		agg.OverlayRatio = float64(agg.OverlayVertices) / float64(agg.Objects)
+		agg.TombstoneRatio = float64(tombstones) / float64(agg.Objects)
+	}
+	if agg.Edges > 0 {
+		agg.GraphBytesPerEdge = float64(agg.SizeBytes) / float64(agg.Edges)
+	}
+	return agg, nil
+}
+
+// ShardStats reports per-shard build progress, sizes, and epochs —
+// index j describes shard j.
+func (s *Engine) ShardStats() []ShardInfo {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]ShardInfo, len(s.shards))
+	for j, e := range s.shards {
+		info := ShardInfo{
+			State:   ShardState(s.state[j].Load()).String(),
+			Objects: e.Len(),
+			Deleted: e.Deleted(),
+			Epoch:   e.Epoch(),
+			Health:  s.health[j].State().String(),
+		}
+		if st, err := e.Stats(); err == nil {
+			info.Stats = st
+		}
+		out[j] = info
+	}
+	return out
 }

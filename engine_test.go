@@ -478,43 +478,6 @@ func TestEngineExactSearch(t *testing.T) {
 	}
 }
 
-func TestEngineSearchBatch(t *testing.T) {
-	e, rng := newBuiltEngine(t, 300)
-	queries := make([]Query, 16)
-	for i := range queries {
-		queries[i] = Query{
-			Vectors: NamedVectors{
-				"image": engRandVec(rng, engImgDim),
-				"text":  engRandVec(rng, engTxtDim),
-			},
-			K: 3,
-		}
-	}
-	resps, err := e.SearchBatch(context.Background(), queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != len(queries) {
-		t.Fatalf("got %d responses for %d queries", len(resps), len(queries))
-	}
-	for i, r := range resps {
-		if r == nil || len(r.Matches) != 3 {
-			t.Fatalf("response %d malformed: %+v", i, r)
-		}
-		// Each batched response must agree with a serial search.
-		serial, err := e.Search(context.Background(), queries[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range serial.Matches {
-			if serial.Matches[j].ID != r.Matches[j].ID {
-				t.Fatalf("query %d rank %d: batch %d vs serial %d",
-					i, j, r.Matches[j].ID, serial.Matches[j].ID)
-			}
-		}
-	}
-}
-
 func TestEngineLearnWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	e, err := NewEngine(engSchema(), EngineOptions{Build: BuildOptions{Gamma: 12, Seed: 3}})

@@ -13,7 +13,7 @@ import (
 // sickUntilHealed returns a query that panics inside shard `sick` until
 // stop() is called — simulating a shard with corrupted state that every
 // touch trips over.
-func failShard(s *ShardedEngine, t *testing.T, sick, shards, times int) {
+func failShard(s *Engine, t *testing.T, sick, shards, times int) {
 	t.Helper()
 	q := sickShardQuery(shardedQueries(1, 2)[0], sick, shards, func() { panic("shard is sick") })
 	for i := 0; i < times; i++ {

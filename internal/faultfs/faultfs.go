@@ -8,7 +8,7 @@
 //
 // The interface is deliberately small: exactly the operations a
 // write-ahead log and an atomic snapshot need, nothing more. Read paths
-// that cannot lose data (LoadService and friends) keep using os
+// that cannot lose data (LoadEngine and friends) keep using os
 // directly.
 package faultfs
 

@@ -155,7 +155,12 @@ func (f *Fused) Write(w io.Writer) error {
 // searches and incremental inserts both run against store, with no fused
 // buffer; the topology lands directly in the frozen CSR core.
 func ReadFused(r io.Reader, store *vec.FlatStore) (*Fused, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	// A caller that already buffers (an engine snapshot loader) is read
+	// directly rather than through a second buffer.
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 1<<20)
+	}
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)

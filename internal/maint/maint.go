@@ -8,10 +8,9 @@ import (
 )
 
 // Sample is one maintenance-pressure reading for one rebuildable unit
-// (a whole single engine, or one shard of a sharded engine).
+// (one shard of an engine).
 type Sample struct {
-	// Unit identifies the unit: shard index for sharded targets, 0 for
-	// single-engine targets.
+	// Unit identifies the unit: its shard index.
 	Unit int
 	// OverlayRatio is overlay vertices / live objects in [0, 1+).
 	OverlayRatio float64

@@ -1,5 +1,5 @@
 // Package server is the mustd serving tier: HTTP/JSON handlers over a
-// must.Engine with dynamic request batching, an epoch-invalidated
+// must.Service with dynamic request batching, an epoch-invalidated
 // result cache, admission control, Prometheus-text metrics, and a
 // graceful drain path. It holds all daemon logic so cmd/mustd stays a
 // thin flag-parsing shell and everything here is unit-testable
@@ -144,8 +144,8 @@ type StatsResponse struct {
 	Engine must.Stats  `json:"engine"`
 	Server ServerStats `json:"server"`
 	// Shards carries per-shard build progress, sizes, epochs, and health
-	// when the backing service is sharded (directly or behind a durable
-	// wrapper); omitted for a single engine.
+	// when the engine has S>1 shards (directly or behind a durable
+	// wrapper); omitted for a single-shard engine.
 	Shards []must.ShardInfo `json:"shards,omitempty"`
 	// Maintenance reports the background maintenance loop; omitted when
 	// maintenance is disabled.

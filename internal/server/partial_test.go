@@ -12,7 +12,7 @@ import (
 )
 
 // partialService marks every search response as degraded, standing in
-// for a ShardedEngine with one sick shard.
+// for a sharded Engine with one sick shard.
 type partialService struct {
 	must.Service
 }

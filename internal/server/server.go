@@ -65,9 +65,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP serving tier over a must.Service (a single Engine
-// or a ShardedEngine). Create with
-// New, mount Handler on an http.Server, and Close after draining.
+// Server is the HTTP serving tier over a must.Service (an Engine, bare
+// or behind a DurableService). Create with New, mount Handler on an
+// http.Server, and Close after draining.
 type Server struct {
 	eng     must.Service
 	cfg     Config
@@ -403,12 +403,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for i, m := range s.schema {
 		schema[i] = ModalityInfo{Name: m.Name, Dim: m.Dim}
 	}
-	// ShardRebuilder catches both a bare ShardedEngine and one behind a
-	// durable wrapper; a single engine reports ShardCount 1 and no shard
-	// block.
+	// A single-shard engine reports no shard block.
 	var shards []must.ShardInfo
-	if sr, ok := s.eng.(must.ShardRebuilder); ok && sr.ShardCount() > 1 {
-		shards = sr.ShardStats()
+	if s.eng.ShardCount() > 1 {
+		shards = s.eng.ShardStats()
 	}
 	var maintStats *must.MaintStats
 	if s.maint != nil {

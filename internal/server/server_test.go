@@ -554,7 +554,7 @@ func TestMetricsHistogramRendering(t *testing.T) {
 	}
 }
 
-// The serving tier runs unchanged over a ShardedEngine: the result cache
+// The serving tier runs unchanged over a sharded Engine: the result cache
 // keys on the summed per-shard epoch, so a mutation that touches only
 // one shard still invalidates stale entries, and /v1/stats reports the
 // per-shard breakdown.
@@ -630,7 +630,7 @@ func TestServerShardedEngineCacheInvalidation(t *testing.T) {
 		t.Fatal("stale cache entry served after single-shard delete")
 	}
 
-	// /v1/rebuild drives ShardedEngine.Rebuild (parallel compaction).
+	// /v1/rebuild drives Engine.Rebuild (parallel compaction).
 	resp, data = postJSON(t, ts.URL+"/v1/rebuild", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %d %s", resp.StatusCode, data)

@@ -41,8 +41,8 @@ func Split(id int64, n int) (shard int, local int64) {
 // Global is the inverse of Split: the stable global ID of a shard-local
 // ID. Globals handed out by sequential inserts are exactly the dense
 // sequence 0,1,2,… (insert k lands in shard k mod n with local k div n),
-// which is what makes a sharded engine ID-compatible with a single
-// engine over the same insertion order.
+// which is what makes IDs independent of the shard count for the same
+// insertion order.
 func Global(shard int, local int64, n int) int64 {
 	return local*int64(n) + int64(shard)
 }

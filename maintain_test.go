@@ -205,8 +205,10 @@ func TestDurableRebuildShardReplay(t *testing.T) {
 	}
 }
 
-// TestDurableRebuildShardOnUnsharded: the durable wrapper must refuse
-// shard-grain rebuilds when the inner service is not sharded.
+// TestDurableRebuildShardOnUnsharded: a single-shard durable service
+// refuses shard-grain rebuilds before Build and outside [0,1), and once
+// built, RebuildShard(0) — the path maintenance takes at S=1 — compacts
+// the one shard.
 func TestDurableRebuildShardOnUnsharded(t *testing.T) {
 	ds, _, err := OpenDurable(newDurableEngine(t, 1), filepath.Join(t.TempDir(), "wal"), DurableOptions{})
 	if err != nil {
@@ -217,7 +219,28 @@ func TestDurableRebuildShardOnUnsharded(t *testing.T) {
 		t.Fatalf("ShardCount = %d, want 1", ds.ShardCount())
 	}
 	if err := ds.RebuildShard(0); err == nil {
-		t.Fatal("RebuildShard on an unsharded durable service succeeded")
+		t.Fatal("RebuildShard on an unbuilt single-shard durable service succeeded")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		if _, err := ds.Insert(durableRandObject(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.RebuildShard(1); err == nil {
+		t.Fatal("RebuildShard(1) on a single-shard service succeeded")
+	}
+	if err := ds.RebuildShard(0); err != nil {
+		t.Fatalf("RebuildShard(0) on a built single-shard service: %v", err)
+	}
+	if ds.Deleted() != 0 {
+		t.Fatalf("RebuildShard(0) left %d tombstones", ds.Deleted())
 	}
 }
 

@@ -30,6 +30,10 @@
 //	e.Build()
 //	resp, _ := e.Search(ctx, must.Query{Vectors: must.NamedVectors{"image": img, "text": txt}, K: 10})
 //
+// NewShardedEngine returns the same Engine type partitioned into S
+// shards (parallel build and rebuild, fan-out search); NewEngine is its
+// S=1 case, whose one shard is searched inline.
+//
 // # Low-level layer
 //
 // Collection/Build/Index remain as the positional single-goroutine layer

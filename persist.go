@@ -399,9 +399,10 @@ func readCollectionBody(br *bufio.Reader) (*Collection, error) {
 	return c, nil
 }
 
-// Engine binary format, little-endian:
+// Shard blob format (one per shard inside a MUSTSH1 snapshot, and the
+// whole file of a pre-MUSTSH1 single-engine snapshot), little-endian:
 //
-//	magic "MUSTEG2\n" (v1 files with "MUSTEG1\n" still load)
+//	magic "MUSTEG2\n" (v1 blobs with "MUSTEG1\n" still load)
 //	schema: m uint32, m × (nameLen uint32, name bytes, dim uint32)
 //	weights: m × float32
 //	build: gamma uint32, iterations uint32, algorithm uint32, seed int64
@@ -417,13 +418,10 @@ var (
 	egMagic2 = [8]byte{'M', 'U', 'S', 'T', 'E', 'G', '2', '\n'}
 )
 
-// SaveTo serializes the whole engine — schema, weights, build options,
-// objects, stable IDs, tombstones, and the built graph — to w. The engine
-// may keep serving while it saves (a consistent snapshot is taken under
-// the read lock).
-func (e *Engine) SaveTo(w io.Writer) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+// writeBlobLocked serializes the whole shard — schema, weights, build
+// options, objects, local IDs, tombstones, and the built graph — to w.
+// Callers hold at least the read lock.
+func (e *shardEngine) writeBlobLocked(w io.Writer) error {
 	if e.c.Len() > maxPersistObjects {
 		return fmt.Errorf("must: engine has %d objects, persistence caps at %d", e.c.Len(), maxPersistObjects)
 	}
@@ -505,20 +503,7 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	return nil
 }
 
-// Save writes the engine to the file at path.
-func (e *Engine) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := e.SaveTo(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readIDTables decodes an engine file's stable-ID table (n little-endian
+// readIDTables decodes a shard blob's stable-ID table (n little-endian
 // u64s) and tombstone table (n bytes). Both grow chunk by chunk as bytes
 // actually arrive, so a corrupt header claiming billions of objects fails
 // with a read error after at most the real stream size instead of
@@ -549,11 +534,9 @@ func readIDTables(br *bufio.Reader, n int) (ids []int64, dead []bool, anyDead bo
 	return ids, dead, anyDead, nil
 }
 
-// ReadEngine deserializes an engine written with SaveTo, restoring
-// schema, weights, build options, objects, stable IDs, tombstones, and
-// the built graph.
-func ReadEngine(r io.Reader) (*Engine, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+// readShard deserializes one shard blob, restoring schema, weights,
+// build options, objects, local IDs, tombstones, and the built graph.
+func readShard(br *bufio.Reader) (*shardEngine, error) {
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return nil, fmt.Errorf("must: reading engine magic: %w", err)
@@ -646,10 +629,10 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 				schema[i].Name, schema[i].Dim, d)
 		}
 	}
-	e, err := NewEngine(schema, EngineOptions{Weights: w, Build: bo})
-	if err != nil {
+	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
+	e := newShardEngine(schema, schemaIndex(schema), w, bo)
 	e.c.store = c.store
 	if c.store != nil && c.store.SQ8() != nil {
 		// A v5 collection body means the engine was serving quantized
@@ -689,16 +672,6 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		e.updateDebtLocked()
 	}
 	return e, nil
-}
-
-// LoadEngine reads an engine from the file at path.
-func LoadEngine(path string) (*Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	return ReadEngine(f)
 }
 
 // SaveCollection writes c to the file at path.

@@ -266,7 +266,7 @@ func TestShardedEngineQuantization(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadService(path)
+	restored, err := LoadEngine(path)
 	if err != nil {
 		t.Fatal(err)
 	}

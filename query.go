@@ -155,9 +155,9 @@ type Response struct {
 	Latency time.Duration
 	// Partial reports a degraded sharded search: at least one shard
 	// answered and at least one failed (error, panic, or deadline), so
-	// Matches cover only part of the corpus. A single Engine never sets
-	// it, and a sharded search where every shard fails returns an error
-	// instead of a partial Response.
+	// Matches cover only part of the corpus. A single-shard Engine never
+	// sets it, and a sharded search where every shard fails returns an
+	// error instead of a partial Response.
 	Partial bool
 	// ShardErrors lists what went wrong on each failed shard when
 	// Partial is set.

@@ -43,6 +43,48 @@ func TestSearchEachPerQueryErrors(t *testing.T) {
 	}
 }
 
+// TestSearchEachMatchesSerialSearch runs a clean batch through
+// SearchEach: every slot answers, and each answer agrees rank by rank
+// with a serial Search of the same query.
+func TestSearchEachMatchesSerialSearch(t *testing.T) {
+	e, rng := newBuiltEngine(t, 300)
+	queries := make([]Query, 16)
+	for i := range queries {
+		queries[i] = Query{
+			Vectors: NamedVectors{
+				"image": engRandVec(rng, engImgDim),
+				"text":  engRandVec(rng, engTxtDim),
+			},
+			K: 3,
+		}
+	}
+	resps, errs := e.SearchEach(context.Background(), queries, 4)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if len(resps) != len(queries) {
+		t.Fatalf("got %d responses for %d queries", len(resps), len(queries))
+	}
+	for i, r := range resps {
+		if r == nil || len(r.Matches) != 3 {
+			t.Fatalf("response %d malformed: %+v", i, r)
+		}
+		// Each batched response must agree with a serial search.
+		serial, err := e.Search(context.Background(), queries[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range serial.Matches {
+			if serial.Matches[j].ID != r.Matches[j].ID {
+				t.Fatalf("query %d rank %d: batch %d vs serial %d",
+					i, j, r.Matches[j].ID, serial.Matches[j].ID)
+			}
+		}
+	}
+}
+
 // TestSearchEachRequestMatchedResults hammers SearchEach from many
 // goroutines under -race, each batch querying with exact stored vectors:
 // the top match of slot i must be the object whose vectors slot i asked

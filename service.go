@@ -5,26 +5,32 @@ import (
 	"io"
 )
 
-// Service is the full engine surface shared by Engine and ShardedEngine:
-// everything a serving layer needs to ingest, maintain, search, and
-// snapshot a corpus without caring how it is partitioned. Code written
-// against Service runs unchanged over one graph or S shards; use
-// LoadService to restore whichever kind a snapshot holds.
+// Service is the full engine surface shared by Engine and
+// DurableService: everything a serving layer needs to ingest, maintain,
+// search, and snapshot a corpus without caring how it is partitioned or
+// whether its writes are logged.
 type Service interface {
 	// Schema and lifecycle.
 	Schema() Schema
 	Build() error
 	Rebuild() error
 	Stats() (Stats, error)
-	// EnableQuantization attaches an SQ8 shadow store (per shard, for a
-	// ShardedEngine) and routes searches over it with an exact re-rank of
-	// the top rerankK candidates (0 = 4·k). Quantized reports the setting.
+	// EnableQuantization attaches an SQ8 shadow store to every shard and
+	// routes searches over it with an exact re-rank of the top rerankK
+	// candidates (0 = 4·k). Quantized reports the setting.
 	EnableQuantization(rerankK int) error
 	Quantized() bool
 
+	// Shards. Every engine has S ≥ 1 shards; RebuildShard compacts one
+	// at a time, bounding rebuild work and transient memory to a single
+	// shard. The maintenance manager paces rebuilds through it.
+	ShardCount() int
+	RebuildShard(j int) error
+	ShardStats() []ShardInfo
+
 	// Mutations. Epoch is a cache-invalidation key: it changes on every
-	// result-visible mutation (for a ShardedEngine it is the sum of the
-	// per-shard epochs, which is equally monotone).
+	// result-visible mutation (it is the sum of the per-shard epochs,
+	// which is equally monotone).
 	Epoch() uint64
 	Len() int
 	Deleted() int
@@ -52,7 +58,6 @@ type Service interface {
 	// Search.
 	Search(ctx context.Context, q Query) (*Response, error)
 	SearchEach(ctx context.Context, queries []Query, workers int) ([]*Response, []error)
-	SearchBatch(ctx context.Context, queries []Query, workers int) ([]*Response, error)
 	ExactSearch(ctx context.Context, q Query) (*Response, error)
 
 	// Persistence.
@@ -60,22 +65,7 @@ type Service interface {
 	Save(path string) error
 }
 
-// ShardRebuilder is the incremental-maintenance surface of a
-// partitioned service: rebuild one shard at a time, bounding compaction
-// work and transient memory to a single shard. ShardedEngine implements
-// it, and DurableService forwards it (logging each shard rebuild) when
-// its wrapped service does. The maintenance manager uses it to pace
-// rebuilds shard by shard; a service that does not implement it is
-// maintained with whole-engine Rebuild calls.
-type ShardRebuilder interface {
-	ShardCount() int
-	RebuildShard(j int) error
-	ShardStats() []ShardInfo
-}
-
 var (
-	_ Service        = (*Engine)(nil)
-	_ Service        = (*ShardedEngine)(nil)
-	_ ShardRebuilder = (*ShardedEngine)(nil)
-	_ ShardRebuilder = (*DurableService)(nil)
+	_ Service = (*Engine)(nil)
+	_ Service = (*DurableService)(nil)
 )

@@ -34,7 +34,7 @@ func shardedQueries(nq int, seed int64) []NamedVectors {
 }
 
 // newSharded builds an S-shard engine over objs in insertion order.
-func newSharded(t *testing.T, objs []Object, shards int, build bool) *ShardedEngine {
+func newSharded(t *testing.T, objs []Object, shards int, build bool) *Engine {
 	t.Helper()
 	s, err := NewShardedEngine(shardedSchema, shards, EngineOptions{
 		Build: BuildOptions{Gamma: 12, Seed: 3},
@@ -361,7 +361,7 @@ func TestShardedEpochPerShard(t *testing.T) {
 	}
 }
 
-func shardedEqualResults(t *testing.T, a, b *ShardedEngine, queries []NamedVectors) {
+func shardedEqualResults(t *testing.T, a, b *Engine, queries []NamedVectors) {
 	t.Helper()
 	for qi, q := range queries {
 		ra, err := a.Search(context.Background(), Query{Vectors: q, K: 10})
@@ -398,7 +398,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 
 	// Parallel file load.
-	loaded, err := LoadShardedEngine(path)
+	loaded, err := LoadEngine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := ReadShardedEngine(bytes.NewReader(data))
+	streamed, err := ReadEngine(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,25 +432,19 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatalf("post-load insert ID %d, live engine %d", idLoaded, idLive)
 	}
 
-	// LoadService sniffs the container magic for both kinds.
-	svc, err := LoadService(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := svc.(*ShardedEngine); !ok {
-		t.Fatalf("LoadService(MUSTSH1) returned %T", svc)
-	}
+	// Snapshots restore the shard count they were saved with, S=1
+	// included.
 	single := newSingle(t, objs[:30], true)
 	singlePath := filepath.Join(t.TempDir(), "single.bin")
 	if err := single.Save(singlePath); err != nil {
 		t.Fatal(err)
 	}
-	svc, err = LoadService(singlePath)
+	svc, err := LoadEngine(singlePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := svc.(*Engine); !ok {
-		t.Fatalf("LoadService(MUSTEG1) returned %T", svc)
+	if svc.ShardCount() != 1 || svc.Len() != 30 {
+		t.Fatalf("LoadEngine(single) restored shards=%d len=%d", svc.ShardCount(), svc.Len())
 	}
 }
 
@@ -466,7 +460,7 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 	corrupt := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), good...)
 		mutate(b)
-		_, err := ReadShardedEngine(bytes.NewReader(b))
+		_, err := ReadEngine(bytes.NewReader(b))
 		return err
 	}
 
@@ -492,7 +486,7 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 	}); err == nil {
 		t.Error("oversized blob length accepted")
 	}
-	if _, err := ReadShardedEngine(bytes.NewReader(good[:len(good)/2])); err == nil {
+	if _, err := ReadEngine(bytes.NewReader(good[:len(good)/2])); err == nil {
 		t.Error("truncated container accepted")
 	}
 
@@ -503,8 +497,8 @@ func TestShardedPersistCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedEngine(path); err == nil {
-		t.Error("LoadShardedEngine accepted blob size beyond file size")
+	if _, err := LoadEngine(path); err == nil {
+		t.Error("LoadEngine accepted blob size beyond file size")
 	}
 }
 

@@ -259,7 +259,7 @@ func TestEngineRoundTripSingleCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.ix.f.Store != e2.c.flatStore() {
+	if sh := e2.shards[0]; sh.ix.f.Store != sh.c.flatStore() {
 		t.Fatal("loaded engine index and collection do not share one store")
 	}
 	st, err := e2.Stats()
